@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .basin import _CHUNK_ROWS, _ST_CONVERGED, _sweep_chunk
 from .core import (
     ANNEALING,
     BetaSchedule,
@@ -89,6 +90,14 @@ def estimate_order(trace: Sequence[complex], epsilon: float = 1e-14) -> OrderEst
     return OrderEstimate(tuple(qs), q_final, valid)
 
 
+def _starts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Row-major start points re[i] + 1j*im[j], built without rounding."""
+    z = np.empty((re.size, im.size), np.complex128)
+    z.real = re[:, None]
+    z.imag = im[None, :]
+    return z.ravel()
+
+
 def order_probe(
     p: ScalarProblem,
     sched: BetaSchedule,
@@ -105,9 +114,21 @@ def order_probe(
     beyond three acts only on real trajectories, and a complex start would
     systematically measure the lower off-axis order.
 
+    The scan is screened by the vectorized sweep kernel: the real axis is one
+    block, and the grid follows in blocks of 1, 2, 4, ... rows, capped at the
+    sweep's chunk height, so the blocks depend only on the grid.  Within each
+    block, the traced scalar `iterate` runs, in scan order, only on starts
+    the kernel reports converged in at least MIN_ORDER_ITERATIONS steps.
+    The scalar run decides, by its status, iteration count and estimate
+    validity, as in an unscreened scan.  The two scans can pick differently
+    only where kernel and scalar path disagree in the last bits (see the
+    `core` module docstring) on a start ahead of the pick.
+
     Returns (OrderEstimate, start_point, IterationOutcome) or None.
     """
     probe_cfg = replace(cfg, trace=True)
+    re = np.asarray(re_coords, dtype=float)
+    im = np.asarray(im_coords, dtype=float)
 
     def attempt(z0):
         out = iterate(p, z0, sched, probe_cfg)
@@ -118,16 +139,22 @@ def order_probe(
         est = estimate_order(out.trace, probe_cfg.epsilon)
         if not est.valid:
             return None
-        return est, complex(z0), out
+        return est, z0, out
 
-    if sched.mode == ANNEALING:
-        for re in re_coords:
-            hit = attempt(complex(re, 0.0))
-            if hit:
-                return hit
-    for re in re_coords:
-        for im in im_coords:
-            hit = attempt(complex(re, im))
+    def blocks():
+        if sched.mode == ANNEALING:
+            yield _starts(re, np.zeros(1))
+        i0, rows = 0, 1
+        while i0 < re.size:
+            yield _starts(re[i0:i0 + rows], im)
+            i0 += rows
+            rows = min(2 * rows, _CHUNK_ROWS)
+
+    for z0 in blocks():
+        status, iters, _ = _sweep_chunk(p, z0, sched, cfg)
+        screened = (status == _ST_CONVERGED) & (iters >= MIN_ORDER_ITERATIONS)
+        for k in np.flatnonzero(screened):
+            hit = attempt(complex(z0[k]))
             if hit:
                 return hit
     return None

@@ -13,13 +13,17 @@ x_hat.
 
 All arithmetic is IEEE double precision through numpy, for scalar calls and
 for the vectorized grid sweeps in `betanewton.basin` alike.  Each path is
-bit-for-bit reproducible on its own; between the two, numpy's SIMD complex
-multiply contracts with FMA while the scalar one does not, so a scalar rerun
-of a sweep cell can drift in the last bit at heavy cancellations.
+bit-for-bit reproducible on its own, but the two can drift apart in the last
+bit at heavy cancellations, for two reasons: numpy's SIMD complex multiply
+contracts with FMA while the scalar one does not, and numpy elides
+temporaries of at least 256 KiB (16,384 complex elements), evaluating such
+expressions in place through other inner loops.  The second makes a sweep
+cell's bits depend on the array length, hence on chunk size and grid width.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -161,7 +165,7 @@ def extended_step(p: ScalarProblem, x, beta: float, deriv_guard: float = 1e-300)
         xnext = xhat - beta * (p.eval(xhat) / fp)
         xnext = np.complex128(xnext)
         xhat = np.complex128(xhat)
-    if not (np.isfinite(xnext.real) and np.isfinite(xnext.imag)):
+    if not (math.isfinite(xnext.real) and math.isfinite(xnext.imag)):
         raise NonFiniteStep(f"non-finite update from {x}")
     return xnext, xhat
 
@@ -180,7 +184,7 @@ def extended_step_order2(p: ScalarProblem, x, beta: float, deriv_guard: float = 
         xhat = x - p.eval(x) / fp
         inner = xhat - beta * (p.eval(xhat) / fp)
         out = np.complex128(inner - beta * (p.eval(inner) / fp))
-    if not (np.isfinite(out.real) and np.isfinite(out.imag)):
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise NonFiniteStep(f"non-finite update from {x}")
     return out
 
@@ -238,7 +242,7 @@ def iterate(
             else:
                 bet = beta
             znext = np.complex128(xhat - bet * (p.eval(xhat) / fp))
-            if not (np.isfinite(znext.real) and np.isfinite(znext.imag)):
+            if not (math.isfinite(znext.real) and math.isfinite(znext.imag)):
                 return IterationOutcome(
                     Status.NUMERICAL_FAILURE, complex(z), step - 1,
                     tuple(trace) if cfg.trace else None, evals_f, evals_fp)

@@ -1,10 +1,14 @@
 """Unit tests for order estimation and the cube-root contraction analysis."""
 
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from betanewton.basin import GridSpec
 from betanewton.convergence import (
     MIN_ORDER_ITERATIONS,
     DegenerateRoot,
@@ -21,7 +25,15 @@ from betanewton.core import (
     Status,
     get_problem,
     iterate,
+    list_problems,
 )
+
+SCHEDULES = {
+    "0": BetaSchedule.fixed(0.0),
+    "1": BetaSchedule.fixed(1.0),
+    "anneal": BetaSchedule.annealing(),
+}
+PICKS = Path(__file__).parent / "data" / "order_probe_picks.json"
 
 
 def _trace_with_displacement_exponents(exponents):
@@ -144,6 +156,54 @@ def test_probe_returns_none_when_nothing_qualifies():
     hit = order_probe(p, BetaSchedule.fixed(0.0), IterationConfig(max_iter=3),
                       np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))
     assert hit is None
+
+
+def _scalar_scan(p, sched, cfg, re_coords, im_coords):
+    """The unscreened probe: traced scalar runs over every start in scan order."""
+    probe_cfg = replace(cfg, trace=True)
+    starts = []
+    if sched.mode == "annealing":
+        starts += [complex(re, 0.0) for re in re_coords]
+    starts += [complex(re, im) for re in re_coords for im in im_coords]
+    for z0 in starts:
+        out = iterate(p, z0, sched, probe_cfg)
+        if out.status is not Status.CONVERGED or out.iterations < MIN_ORDER_ITERATIONS:
+            continue
+        est = estimate_order(out.trace, probe_cfg.epsilon)
+        if est.valid:
+            return est, z0, out
+    return None
+
+
+@pytest.mark.parametrize("max_iter", [50, 3])
+@pytest.mark.parametrize("nx,ny", [(30, 30), (31, 29)])
+def test_probe_equals_unscreened_scalar_scan(nx, ny, max_iter):
+    grid = GridSpec(nx=nx, ny=ny)
+    cfg = IterationConfig(max_iter=max_iter)
+    re, im = grid.re_coords(), grid.im_coords()
+    found = 0
+    for p in list_problems():
+        for sched in SCHEDULES.values():
+            want = _scalar_scan(p, sched, cfg, re, im)
+            assert order_probe(p, sched, cfg, re, im) == want, (p.id, sched)
+            found += want is not None
+    # every pair qualifies somewhere on these grids unless the budget is too short
+    assert found == (0 if max_iter < MIN_ORDER_ITERATIONS
+                     else len(list_problems()) * len(SCHEDULES))
+
+
+@pytest.mark.parametrize("size", ["200x200", "1000x1000"])
+def test_probe_reproduces_recorded_picks(size):
+    picks = json.loads(PICKS.read_text())[size]
+    nx, ny = map(int, size.split("x"))
+    grid = GridSpec(nx=nx, ny=ny)
+    for p in list_problems():
+        for desc, sched in SCHEDULES.items():
+            hit = order_probe(p, sched, IterationConfig(),
+                              grid.re_coords(), grid.im_coords())
+            got = None if hit is None else {
+                "start": [hit[1].real, hit[1].imag], "q_final": repr(hit[0].q_final)}
+            assert got == picks[p.id][desc], (size, p.id, desc)
 
 
 # ---------------------------------------------------------------------------

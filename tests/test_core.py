@@ -197,6 +197,66 @@ def test_iterate_counter_closed_forms_failure_mid_run():
     assert out.evals_fprime == out.iterations
 
 
+# Failing starts and the outcomes the original numpy-scalar finiteness checks
+# gave: the derivative guard (f2 and f14 at 0), exp overflow on the first step
+# (f9, f13 far out, and f9's annealing derivative at x_hat), and non-finite
+# steps after committed ones.
+FAILURE_CASES = [
+    ("f2", 0j, "0", 0, 0j, 0, 0),
+    ("f2", 0j, "1", 0, 0j, 0, 0),
+    ("f2", 0j, "anneal", 0, 0j, 0, 0),
+    ("f14", 0j, "0", 0, 0j, 0, 0),
+    ("f14", 0j, "1", 0, 0j, 0, 0),
+    ("f14", 0j, "anneal", 0, 0j, 0, 0),
+    ("f9", 710 + 0j, "0", 0, 710 + 0j, 0, 0),
+    ("f9", 710 + 0j, "1", 0, 710 + 0j, 0, 0),
+    ("f9", 710 + 0j, "anneal", 0, 710 + 0j, 0, 0),
+    ("f13", 30 + 0j, "0", 0, 30 + 0j, 0, 0),
+    ("f13", 30 + 0j, "1", 0, 30 + 0j, 0, 0),
+    ("f13", 30 + 0j, "anneal", 0, 30 + 0j, 0, 0),
+    ("f9", 705 + 0j, "anneal", 0, 705 + 0j, 0, 0),
+    ("f9", 1.2 - 1.8j, "1", 1, 652643.6310371746 + 2314864.329260031j, 2, 1),
+    ("f13", -1.2 - 2j, "0", 2, -1.0303115291580989 - 0.013918108365576831j, 4, 2),
+    ("f13", -4 - 0.4j, "1", 7, 1.5341642168726528e+22 - 1.1470212640202019e+22j, 14, 7),
+    ("f13", -0.8 + 0j, "anneal", 1, 21.119254778157824 + 0j, 2, 2),
+]
+SCHEDULES = {"0": BetaSchedule.fixed(0.0), "1": BetaSchedule.fixed(1.0),
+             "anneal": BetaSchedule.annealing()}
+
+
+@pytest.mark.parametrize("fid,z0,desc,iterations,final,evals_f,evals_fp", FAILURE_CASES)
+def test_iterate_failure_encoding(fid, z0, desc, iterations, final, evals_f, evals_fp):
+    out = iterate(get_problem(fid), z0, SCHEDULES[desc])
+    assert out.status is Status.NUMERICAL_FAILURE
+    assert out.iterations == iterations
+    assert out.final == final
+    assert out.evals_f == evals_f
+    assert out.evals_fprime == evals_fp
+
+
+@pytest.mark.parametrize("z0", [1.7e308 + 0j, 1.7e308j])
+def test_iterate_rejects_one_nonfinite_part(z0):
+    # one Newton step doubles z0: only the part that overflows is non-finite
+    const = ScalarProblem("const", lambda z: np.complex128(-z0),
+                          lambda z: np.complex128(1.0))
+    out = iterate(const, z0, BetaSchedule.fixed(0.0))
+    assert out.status is Status.NUMERICAL_FAILURE
+    assert out.iterations == 0
+    assert out.final == z0
+    for step in (extended_step, extended_step_order2):
+        with pytest.raises(NonFiniteStep):
+            step(const, z0, 0.0)
+
+
+@pytest.mark.parametrize("fid,z0,exc", [("f9", 710 + 0j, NonFiniteStep),
+                                        ("f13", 30 + 0j, NonFiniteStep),
+                                        ("f2", 0j, DerivativeUnderflow)])
+def test_steps_raise_on_failing_starts(fid, z0, exc):
+    for step in (extended_step, extended_step_order2):
+        with pytest.raises(exc):
+            step(get_problem(fid), z0, 1.0)
+
+
 def test_iterate_trace_opt_in():
     out = iterate(SQUARE, 2.0, BetaSchedule.fixed(0.0))
     assert out.trace is None
