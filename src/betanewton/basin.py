@@ -22,6 +22,7 @@ from .core import (
     BetaSchedule,
     IterationConfig,
     ScalarProblem,
+    _update,
     iterate,
 )
 
@@ -39,10 +40,6 @@ _ROOT_RESIDUAL_TOL = 1e-10
 
 class IncompatibleCovering(ValueError):
     """Entropy box size does not tile the grid exactly."""
-
-
-class AllSamplesSingular(RuntimeError):
-    """Every probe sample hit the derivative guard."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,14 @@ class SweepMetrics:
     mean_iterations: float
     convergence_pct: float
     wall_time_per_point: float
-    total_points: int
+
+
+def _starts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Row-major start points re[i] + 1j*im[j], built without rounding."""
+    z = np.empty((re.size, im.size), np.complex128)
+    z.real = re[:, None]
+    z.imag = im[None, :]
+    return z.ravel()
 
 
 def _sweep_chunk(
@@ -120,20 +124,11 @@ def _sweep_chunk(
     iters = np.zeros(n, np.int32)
     status = np.full(n, _ST_MAXITER, np.int8)
     anneal = sched.mode == ANNEALING
-    beta = sched.beta
     with np.errstate(all="ignore"):
         for step in range(1, cfg.max_iter + 1):
             fp = p.deriv(z)
             ok = np.abs(fp) > cfg.deriv_guard
-            xhat = z - p.eval(z) / fp
-            if anneal:
-                fph = p.deriv(xhat)
-                a = fp.real * fp.real + fp.imag * fp.imag
-                b = fph.real * fph.real + fph.imag * fph.imag
-                bet = 2.0 * a / (a + b)
-            else:
-                bet = beta
-            znext = xhat - bet * (p.eval(xhat) / fp)
+            znext = _update(p, z, fp, anneal, sched.beta)[1]
             good = ok & np.isfinite(znext.real) & np.isfinite(znext.imag)
             disp = np.abs(znext - z)
             conv = good & (disp < cfg.epsilon)
@@ -262,7 +257,7 @@ def sweep(
 
     def run_chunk(i0):
         i1 = min(i0 + _CHUNK_ROWS, grid.nx)
-        z0 = (re[i0:i1, None] + 1j * im[None, :]).ravel()
+        z0 = _starts(re[i0:i1], im)
         return i0 * grid.ny, (i1 - i0) * grid.ny, _sweep_chunk(p, z0, sched, cfg)
 
     if jobs > 1:
@@ -287,7 +282,6 @@ def sweep(
         mean_iterations=mean_iters,
         convergence_pct=100.0 * n_conv / n,
         wall_time_per_point=per_point,
-        total_points=n,
     )
     bmap = BasinMap(
         grid=grid,
@@ -399,39 +393,3 @@ def basin_map_to_json(bmap: BasinMap) -> dict:
         "roots": [[r.real, r.imag] for r in bmap.catalog.roots],
         "match_tol": bmap.catalog.match_tol,
     }
-
-
-def singularity_probe(
-    p: ScalarProblem,
-    x_s: complex,
-    radius: float,
-    n_samples: int,
-    beta: float = 0.0,
-) -> float:
-    """Spread of one update applied to a small circle around a critical point.
-
-    Samples n_samples points on the circle of the given radius about x_s,
-    applies one two-step update at the given beta, and returns the maximum
-    pairwise distance of the images: a measure of how violently the map
-    stretches a neighborhood of f' = 0.
-    """
-    from .core import DerivativeUnderflow, NonFiniteStep, extended_step
-
-    if not abs(np.complex128(p.deriv(np.complex128(x_s)))) < 1e-8:
-        raise ValueError(f"{x_s} is not a near-critical point of {p.id}")
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    angles = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    images = []
-    for t in angles:
-        z0 = np.complex128(x_s) + radius * np.complex128(np.cos(t) + 1j * np.sin(t))
-        try:
-            xnext, _ = extended_step(p, z0, beta)
-        except (DerivativeUnderflow, NonFiniteStep):
-            continue
-        images.append(complex(xnext))
-    if not images:
-        raise AllSamplesSingular("all samples singular")
-    pts = np.asarray(images)
-    diff = np.abs(pts[:, None] - pts[None, :])
-    return float(diff.max())

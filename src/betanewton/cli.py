@@ -269,11 +269,15 @@ def _apply_config_file(parser, argv):
         act = actions_by_dest.get(dest)
         if act is None:
             raise SystemExit2(f"unknown config key {key!r}")
-        if act.type is not None and isinstance(value, str):
-            try:
-                value = act.type(value)
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise SystemExit2(f"bad config value for {key!r}: {exc}")
+        # checked like the same text on the command line
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            value = text if act.type is None else act.type(text)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise SystemExit2(f"bad config value for {key!r}: {exc}")
+        if act.choices is not None and value not in act.choices:
+            raise SystemExit2(f"bad config value for {key!r}: {value!r} is not one of "
+                              f"{', '.join(map(repr, act.choices))}")
         clean[dest] = value
     for p in parsers:
         local = {a.dest for a in p._actions}

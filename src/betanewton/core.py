@@ -11,14 +11,15 @@ cubic local convergence at simple roots, and the adaptive "annealing"
 schedule picks beta afresh each step from the derivative magnitudes at x and
 x_hat.
 
-All arithmetic is IEEE double precision through numpy, for scalar calls and
-for the vectorized grid sweeps in `betanewton.basin` alike.  Each path is
-bit-for-bit reproducible on its own, but the two can drift apart in the last
-bit at heavy cancellations, for two reasons: numpy's SIMD complex multiply
-contracts with FMA while the scalar one does not, and numpy elides
-temporaries of at least 256 KiB (16,384 complex elements), evaluating such
-expressions in place through other inner loops.  The second makes a sweep
-cell's bits depend on the array length, hence on chunk size and grid width.
+One private `_update` serves numpy scalars (`iterate`, `extended_step`) and
+the arrays of the grid sweeps in `betanewton.basin` with the same IEEE double
+expressions.  Each path is bit-for-bit reproducible on its own, but scalar
+and array results can still drift apart in the last bit at heavy
+cancellations, for two reasons: numpy's SIMD complex multiply contracts with
+FMA while the scalar one does not, and numpy elides temporaries of at least
+256 KiB (16,384 complex elements), evaluating such expressions in place
+through other inner loops.  The second makes a sweep cell's bits depend on
+the array length, hence on chunk size and grid width.
 """
 
 from __future__ import annotations
@@ -149,6 +150,30 @@ class IterationOutcome:
     evals_fprime: int = 0
 
 
+def _abs2(z):
+    """|z|^2 formed as re*re + im*im, for numpy scalars and arrays alike."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _anneal_weight(fp, fph):
+    """Annealing beta 2a/(a+b) with a = |f'(x)|^2 and b = |f'(x_hat)|^2."""
+    a = _abs2(fp)
+    b = _abs2(fph)
+    return 2.0 * a / (a + b)
+
+
+def _update(p: ScalarProblem, z, fp, anneal: bool, beta):
+    """One two-step update from z with fp = f'(z); returns (x_hat, x_next).
+
+    z and fp are numpy scalars or arrays; with anneal, beta comes from
+    `_anneal_weight`.  Callers guard fp, check finiteness, count evaluations.
+    """
+    xhat = z - p.eval(z) / fp
+    if anneal:
+        beta = _anneal_weight(fp, p.deriv(xhat))
+    return xhat, xhat - beta * (p.eval(xhat) / fp)
+
+
 def extended_step(p: ScalarProblem, x, beta: float, deriv_guard: float = 1e-300):
     """One beta-weighted two-step update.  Returns (x_next, x_hat).
 
@@ -161,8 +186,7 @@ def extended_step(p: ScalarProblem, x, beta: float, deriv_guard: float = 1e-300)
         fp = p.deriv(x)
         if not (abs(fp) > deriv_guard):
             raise DerivativeUnderflow(f"|f'({x})| <= {deriv_guard}")
-        xhat = x - p.eval(x) / fp
-        xnext = xhat - beta * (p.eval(xhat) / fp)
+        xhat, xnext = _update(p, x, fp, False, beta)
         xnext = np.complex128(xnext)
         xhat = np.complex128(xhat)
     if not (math.isfinite(xnext.real) and math.isfinite(xnext.imag)):
@@ -170,43 +194,21 @@ def extended_step(p: ScalarProblem, x, beta: float, deriv_guard: float = 1e-300)
     return xnext, xhat
 
 
-def extended_step_order2(p: ScalarProblem, x, beta: float, deriv_guard: float = 1e-300):
-    """The once-nested variant: correct the corrected point, still with f'(x).
-
-    Returns N(x) - beta*f(N(x) - beta*f(N(x))/f'(x))/f'(x) where N is the
-    Newton step; three evaluations of f, one of f'.
-    """
-    x = np.complex128(x)
-    with np.errstate(all="ignore"):
-        fp = p.deriv(x)
-        if not (abs(fp) > deriv_guard):
-            raise DerivativeUnderflow(f"|f'({x})| <= {deriv_guard}")
-        xhat = x - p.eval(x) / fp
-        inner = xhat - beta * (p.eval(xhat) / fp)
-        out = np.complex128(inner - beta * (p.eval(inner) / fp))
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise NonFiniteStep(f"non-finite update from {x}")
-    return out
-
-
 def annealing_beta(fprime_n, fprime_hat) -> float:
     """Adaptive step weight from the derivative at x and at the Newton point.
 
     Returns 2|f'_n|^2 / (|f'_hat|^2 + |f'_n|^2), always real and in (0, 2]
-    for nonzero f'_n.  Squared magnitudes are formed as re*re + im*im so the
-    scalar path matches the vectorized sweep kernel bitwise.
+    for nonzero f'_n.  It is the weight `iterate` and the sweep kernel use.
     """
     fp = np.complex128(fprime_n)
     fh = np.complex128(fprime_hat)
     with np.errstate(all="ignore"):
-        a = fp.real * fp.real + fp.imag * fp.imag
-        b = fh.real * fh.real + fh.imag * fh.imag
-        denom = a + b
-    if not denom > 0:
-        raise DegenerateScheduleInput("both derivative magnitudes are zero")
-    if not np.isfinite(denom):
-        raise DegenerateScheduleInput("derivative magnitude overflow")
-    return float(2.0 * a / denom)
+        denom = _abs2(fp) + _abs2(fh)
+        if not denom > 0:
+            raise DegenerateScheduleInput("both derivative magnitudes are zero")
+        if not np.isfinite(denom):
+            raise DegenerateScheduleInput("derivative magnitude overflow")
+        return float(_anneal_weight(fp, fh))
 
 
 def iterate(
@@ -223,7 +225,6 @@ def iterate(
     z = np.complex128(x0)
     trace = [complex(z)] if cfg.trace else None
     anneal = sched.mode == ANNEALING
-    beta = sched.beta
     evals_f = 0
     evals_fp = 0
     with np.errstate(all="ignore"):
@@ -233,15 +234,7 @@ def iterate(
                 return IterationOutcome(
                     Status.NUMERICAL_FAILURE, complex(z), step - 1,
                     tuple(trace) if cfg.trace else None, evals_f, evals_fp)
-            xhat = z - p.eval(z) / fp
-            if anneal:
-                fph = p.deriv(xhat)
-                a = fp.real * fp.real + fp.imag * fp.imag
-                b = fph.real * fph.real + fph.imag * fph.imag
-                bet = 2.0 * a / (a + b)
-            else:
-                bet = beta
-            znext = np.complex128(xhat - bet * (p.eval(xhat) / fp))
+            znext = np.complex128(_update(p, z, fp, anneal, sched.beta)[1])
             if not (math.isfinite(znext.real) and math.isfinite(znext.imag)):
                 return IterationOutcome(
                     Status.NUMERICAL_FAILURE, complex(z), step - 1,

@@ -105,17 +105,28 @@ def _factor(J: np.ndarray):
     return lu, piv
 
 
-def vector_extended_step(vp: VectorProblem, phi: np.ndarray, beta: float) -> np.ndarray:
+def vector_extended_step(vp: VectorProblem, phi: np.ndarray, sched: BetaSchedule) -> np.ndarray:
     """One vector two-step update with a single LU factorization.
 
     Solves J d1 = R(phi) and J d2 = R(phi - d1) with the same factored
-    J = jacobian(phi), returning phi - d1 - beta * d2.
+    J = jacobian(phi), returning phi - d1 - beta * d2.  A fixed schedule
+    supplies beta.  The annealing schedule takes the vector analogue of the
+    scalar weight, beta = 2a / (a + b) with a and b the squared Frobenius
+    norms of J and of the Jacobian at phi - d1, which costs one more
+    Jacobian evaluation.  Raises SingularJacobian when J cannot be trusted.
     """
     phi = np.asarray(phi, dtype=float)
-    lu, piv = _factor(vp.jacobian(phi))
+    J = vp.jacobian(phi)
+    lu, piv = _factor(J)
     d1 = lu_solve((lu, piv), vp.residual(phi))
     phi_hat = phi - d1
     d2 = lu_solve((lu, piv), vp.residual(phi_hat))
+    if sched.mode == ANNEALING:
+        a = float((J * J).sum())
+        b = float((vp.jacobian(phi_hat) ** 2).sum())
+        beta = 2.0 * a / (a + b)
+    else:
+        beta = sched.beta
     return phi_hat - beta * d2
 
 
@@ -184,23 +195,10 @@ def solve_sync(
     phi = np.zeros(sys.n_rotors - 1) if phi0 is None else np.asarray(phi0, dtype=float).copy()
     if phi.shape != (sys.n_rotors - 1,):
         raise ValueError("phi0 must have length n_rotors - 1")
-    anneal = sched.mode == ANNEALING
     status = Status.MAX_ITERATIONS
     iterations = cfg.max_iter
     for step in range(1, cfg.max_iter + 1):
-        J = vp.jacobian(phi)
-        lu, piv = _factor(J)
-        d1 = lu_solve((lu, piv), vp.residual(phi))
-        phi_hat = phi - d1
-        d2 = lu_solve((lu, piv), vp.residual(phi_hat))
-        if anneal:
-            # vector analogue of the scalar schedule: squared Frobenius norms
-            a = float((J * J).sum())
-            b = float((vp.jacobian(phi_hat) ** 2).sum())
-            beta = 2.0 * a / (a + b)
-        else:
-            beta = sched.beta
-        phi_next = phi_hat - beta * d2
+        phi_next = vector_extended_step(vp, phi, sched)
         if not np.isfinite(phi_next).all():
             status = Status.NUMERICAL_FAILURE
             iterations = step - 1

@@ -109,7 +109,7 @@ def order_estimate_for(
 
 
 def to_csv(rows: Sequence[TableRow]) -> str:
-    """Machine-precision long-format CSV; round-trips through rows_from_csv."""
+    """Long-format CSV; values are repr(float), exact under float(), or empty for None."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["function", "metric", "beta", "value"])
@@ -118,20 +118,6 @@ def to_csv(rows: Sequence[TableRow]) -> str:
             w.writerow([row.function_id, metric, desc,
                         "" if value is None else repr(float(value))])
     return buf.getvalue()
-
-
-def rows_from_csv(text: str) -> List[TableRow]:
-    rows: List[TableRow] = []
-    by_id: Dict[str, TableRow] = {}
-    for rec in csv.DictReader(io.StringIO(text)):
-        row = by_id.get(rec["function"])
-        if row is None:
-            row = TableRow(rec["function"])
-            by_id[rec["function"]] = row
-            rows.append(row)
-        value = None if rec["value"] == "" else float(rec["value"])
-        row.columns[(rec["metric"], rec["beta"])] = value
-    return rows
 
 
 def to_json(rows: Sequence[TableRow]) -> str:

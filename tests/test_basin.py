@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from betanewton.basin import (
-    AllSamplesSingular,
     BasinMap,
     GridSpec,
     IncompatibleCovering,
@@ -17,13 +16,11 @@ from betanewton.basin import (
     default_palette,
     entropy_beta_sweep,
     render_ppm,
-    singularity_probe,
     sweep,
 )
 from betanewton.core import (
     BetaSchedule,
     IterationConfig,
-    ScalarProblem,
     Status,
     get_problem,
     iterate,
@@ -66,7 +63,7 @@ def test_affine_sweep_every_cell_two_steps():
     assert metrics.convergence_pct == 100.0
     # step one lands on the root; step two confirms with a sub-epsilon move
     assert metrics.mean_iterations == 2.0
-    assert metrics.total_points == 1600
+    assert bmap.labels.shape == (40, 40)
     assert bmap.catalog.roots == [1.0 + 0.0j]
     assert (bmap.labels == 0).all()
     assert basin_entropy(bmap, 20) == 0.0
@@ -268,33 +265,3 @@ def test_basin_map_json_round_structure():
     assert d["iter_counts"] == [1, 2, 3, 4]
     assert d["roots"] == [[0.0, 0.0], [1.0, 0.0]]
     assert d["max_iter"] == 50
-
-
-# ---------------------------------------------------------------------------
-# critical-point probe
-
-def test_singularity_probe_blows_up_neighborhoods():
-    p = get_problem("f2")
-    spread = singularity_probe(p, 0.0, 1e-6, 16)
-    assert spread > 1e9
-
-
-def test_singularity_probe_beta_changes_the_spread():
-    p = get_problem("f2")
-    s0 = singularity_probe(p, 0.0, 1e-6, 16, beta=0.0)
-    s1 = singularity_probe(p, 0.0, 1e-6, 16, beta=1.0)
-    assert s1 > 10 * s0
-
-
-def test_singularity_probe_requires_critical_point():
-    p = get_problem("f2")
-    with pytest.raises(ValueError):
-        singularity_probe(p, 1.0, 1e-6, 16)
-    with pytest.raises(ValueError):
-        singularity_probe(p, 0.0, 1e-6, 1)
-
-
-def test_singularity_probe_all_samples_singular():
-    flat = ScalarProblem("flat", lambda z: z, lambda z: 0.0 * z)
-    with pytest.raises(AllSamplesSingular):
-        singularity_probe(flat, 0.0, 1e-6, 8)

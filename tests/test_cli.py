@@ -247,3 +247,9 @@ def test_config_file_rejects_junk(tmp_path, capsys):
     cfg.write_text(json.dumps({"grid": "wide"}))
     assert main(["manifest", "--config", str(cfg)]) == 2
     capsys.readouterr()
+    # non-string values and choices are checked like the same flag's text
+    for values in ({"grid": 200}, {"max_iter": 5.5}, {"max-iter": True},
+                   {"format": "xml", "grid": "4x4"}):
+        cfg.write_text(json.dumps(values))
+        assert main(["table1", "--jobs", "1", "--config", str(cfg)]) == 2, values
+        assert "bad config value" in capsys.readouterr().err

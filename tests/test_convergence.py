@@ -16,7 +16,6 @@ from betanewton.convergence import (
     cube_root_problem,
     cube_root_window,
     estimate_order,
-    local_error_ratio,
     order_probe,
 )
 from betanewton.core import (
@@ -302,19 +301,3 @@ def test_analytic_error_ratio_degenerate_root():
 def test_analytic_error_ratio_needs_second_derivative():
     with pytest.raises(ValueError):
         analytic_error_ratio(get_problem("f14"), 0.0, 0.0)
-
-
-def test_measured_error_ratio_matches_prediction():
-    p = get_problem("f2")
-    for beta in (0.0, 0.5):
-        out = iterate(p, 1.3, BetaSchedule.fixed(beta), IterationConfig(trace=True))
-        assert out.status is Status.CONVERGED
-        measured = local_error_ratio(p, 1.0, beta, out.trace)
-        predicted = abs(analytic_error_ratio(p, 1.0, beta))
-        assert abs(measured - predicted) <= 0.2 * predicted, beta
-
-
-def test_measured_error_ratio_requires_window_pair():
-    p = get_problem("f2")
-    with pytest.raises(ValueError):
-        local_error_ratio(p, 1.0, 0.0, [1.3 + 0.0j, 1.05 + 0.0j])

@@ -19,7 +19,6 @@ from betanewton.core import (
     UnknownProblem,
     annealing_beta,
     extended_step,
-    extended_step_order2,
     get_problem,
     iterate,
     list_problems,
@@ -83,19 +82,6 @@ def test_step_rejects_nonfinite_result():
         "exp2", lambda z: np.exp(z * z), lambda z: 2 * z * np.exp(z * z))
     with pytest.raises(NonFiniteStep):
         extended_step(blows_up, 30.0, 0.0)
-
-
-def test_nested_step_exact_value():
-    out = extended_step_order2(SQUARE, 2.0, 1.0)
-    # second correction applied to the already-corrected point, both with f'(2)
-    assert out == 1.05169677734375 + 0j
-
-
-def test_nested_step_evaluation_counts():
-    cp = CountingProblem(SQUARE)
-    extended_step_order2(cp.problem, 2.0, 1.0)
-    assert cp.calls_f == 3
-    assert cp.calls_fp == 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +229,16 @@ def test_iterate_rejects_one_nonfinite_part(z0):
     assert out.status is Status.NUMERICAL_FAILURE
     assert out.iterations == 0
     assert out.final == z0
-    for step in (extended_step, extended_step_order2):
-        with pytest.raises(NonFiniteStep):
-            step(const, z0, 0.0)
+    with pytest.raises(NonFiniteStep):
+        extended_step(const, z0, 0.0)
 
 
 @pytest.mark.parametrize("fid,z0,exc", [("f9", 710 + 0j, NonFiniteStep),
                                         ("f13", 30 + 0j, NonFiniteStep),
                                         ("f2", 0j, DerivativeUnderflow)])
 def test_steps_raise_on_failing_starts(fid, z0, exc):
-    for step in (extended_step, extended_step_order2):
-        with pytest.raises(exc):
-            step(get_problem(fid), z0, 1.0)
+    with pytest.raises(exc):
+        extended_step(get_problem(fid), z0, 1.0)
 
 
 def test_iterate_trace_opt_in():

@@ -103,7 +103,7 @@ def _counting(vp):
 
 def test_vector_step_factors_once():
     vp, calls = _counting(build_kuramoto_problem(random_kuramoto(5, seed=1)))
-    vector_extended_step(vp, np.full(4, 0.2), beta=1.0)
+    vector_extended_step(vp, np.full(4, 0.2), BetaSchedule.fixed(1.0))
     assert calls == {"residual": 2, "jacobian": 1}
 
 
@@ -113,10 +113,24 @@ def test_vector_step_against_dense_solve():
     J = vp.jacobian(phi)
     d1 = np.linalg.solve(J, vp.residual(phi))
     d2 = np.linalg.solve(J, vp.residual(phi - d1))
-    for beta in (0.0, 0.7, 1.0):
-        got = vector_extended_step(vp, phi, beta)
+    a = np.linalg.norm(J) ** 2
+    b = np.linalg.norm(vp.jacobian(phi - d1)) ** 2
+    cases = [(BetaSchedule.fixed(beta), beta) for beta in (0.0, 0.7, 1.0)]
+    cases.append((BetaSchedule.annealing(), 2 * a / (a + b)))
+    for sched, beta in cases:
+        got = vector_extended_step(vp, phi, sched)
         want = phi - d1 - beta * d2
         assert np.abs(got - want).max() < 1e-13
+
+
+def test_annealing_vector_step_is_one_solver_step():
+    sys = random_kuramoto(5, seed=3)
+    phi = np.array([0.4, -0.2, 0.9, 0.1])
+    sched = BetaSchedule.annealing()
+    got = vector_extended_step(build_kuramoto_problem(sys), phi, sched)
+    sol = solve_sync(sys, phi, sched, IterationConfig(epsilon=1e-12, max_iter=1))
+    assert sol.iterations == 1
+    assert np.array_equal(sol.phases[1:], got)
 
 
 def test_diagonal_system_decouples_to_scalar_steps():
@@ -129,7 +143,7 @@ def test_diagonal_system_decouples_to_scalar_steps():
         lambda x: np.diag([2.0 * x[0], np.cos(x[1])]),
     )
     x = np.array([1.7, 0.4])
-    got = vector_extended_step(vp, x, beta=0.6)
+    got = vector_extended_step(vp, x, BetaSchedule.fixed(0.6))
     want0, _ = extended_step(f, x[0], 0.6)
     want1, _ = extended_step(g, x[1], 0.6)
     assert abs(got[0] - want0.real) < 1e-14

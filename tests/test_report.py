@@ -1,5 +1,7 @@
 """Unit tests for benchmark table assembly and serialization."""
 
+import csv
+import io
 import json
 import math
 
@@ -13,7 +15,6 @@ from betanewton.report import (
     TableRow,
     build_table1,
     build_table2,
-    rows_from_csv,
     to_csv,
     to_json,
     to_markdown,
@@ -57,10 +58,12 @@ def test_everything_but_time_is_deterministic():
 
 def test_csv_round_trip_is_exact():
     rows = build_table2(_GRID, problems=[get_problem("f2")])
-    back = rows_from_csv(to_csv(rows))
-    assert len(back) == 1
-    assert back[0].function_id == "f2"
-    assert back[0].columns == rows[0].columns
+    records = list(csv.DictReader(io.StringIO(to_csv(rows))))
+    assert {rec["function"] for rec in records} == {"f2"}
+    back = {(rec["metric"], rec["beta"]): None if rec["value"] == "" else float(rec["value"])
+            for rec in records}
+    assert len(back) == len(records)
+    assert back == rows[0].columns
 
 
 def test_json_full_precision():
