@@ -99,7 +99,6 @@ class SweepMetrics:
 
     mean_iterations: float
     convergence_pct: float
-    wall_time_per_point: float
 
 
 def _starts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -200,33 +199,42 @@ def _assign_labels(
     return labels
 
 
-# cells timed per sweep; per-cell clocks on every cell would dominate the run
+# cells timed per map; per-cell clocks on every cell would dominate the run
 _TIMING_SAMPLE_TARGET = 2048
 
 
 def _time_per_point(
     p: ScalarProblem,
-    re: np.ndarray,
-    im: np.ndarray,
-    ny: int,
-    labels: np.ndarray,
-    sched: BetaSchedule,
+    runs: Sequence[Tuple[BetaSchedule, BasinMap]],
     cfg: IterationConfig,
-) -> float:
-    """Mean per-cell wall seconds over a row-major subsample of converged cells."""
-    conv_idx = np.flatnonzero(labels >= 0)
-    if conv_idx.size == 0:
-        return float("nan")
-    stride = max(1, conv_idx.size // _TIMING_SAMPLE_TARGET)
-    sample = conv_idx[::stride]
+) -> List[float]:
+    """Mean per-cell wall seconds of each (schedule, map) run, timed together.
+
+    Each run times single-cell `iterate` calls on a row-major stride of its
+    map's converged cells.  The runs are interleaved cell by cell, with the
+    run order rotating from one cell to the next, so that the machine's
+    speed phases fall on every run alike and cancel in their ratios.  A run
+    with no converged cell gets nan.
+    """
     cfg = replace(cfg, trace=False)
-    total = 0.0
-    for flat in sample:
-        z0 = complex(re[flat // ny], im[flat % ny])
-        t0 = time.perf_counter()
-        iterate(p, z0, sched, cfg)
-        total += time.perf_counter() - t0
-    return total / sample.size
+    samples = []
+    for sched, bmap in runs:
+        conv_idx = np.flatnonzero(bmap.labels.ravel() >= 0)
+        stride = max(1, conv_idx.size // _TIMING_SAMPLE_TARGET)
+        re, im, ny = bmap.grid.re_coords(), bmap.grid.im_coords(), bmap.grid.ny
+        samples.append((sched, [complex(re[flat // ny], im[flat % ny])
+                                for flat in conv_idx[::stride]]))
+    m = len(samples)
+    totals = [0.0] * m
+    for i in range(max((len(z0s) for _, z0s in samples), default=0)):
+        for k in ((i + j) % m for j in range(m)):
+            sched, z0s = samples[k]
+            if i < len(z0s):
+                t0 = time.perf_counter()
+                iterate(p, z0s[i], sched, cfg)
+                totals[k] += time.perf_counter() - t0
+    return [t / len(z0s) if z0s else float("nan")
+            for t, (_, z0s) in zip(totals, samples)]
 
 
 def sweep(
@@ -240,11 +248,7 @@ def sweep(
 
     jobs > 1 runs fixed-size row chunks on a thread pool; chunk boundaries
     and all per-cell arithmetic are identical for every worker count, so the
-    output is too.  wall_time_per_point is the method's per-cell execution
-    time, measured with a monotonic clock summed over single-cell runs of a
-    deterministic row-major subsample of converged cells; the batch kernel
-    that fills the map is not what it times, since batch bookkeeping costs
-    would drown out the per-step evaluation costs being compared.
+    output is too.  The result depends only on the arguments.
     """
     re = grid.re_coords()
     im = grid.im_coords()
@@ -277,11 +281,9 @@ def sweep(
     converged = labels >= 0
     n_conv = int(converged.sum())
     mean_iters = float(iters[converged].mean()) if n_conv else float("nan")
-    per_point = _time_per_point(p, re, im, grid.ny, labels, sched, cfg)
     metrics = SweepMetrics(
         mean_iterations=mean_iters,
         convergence_pct=100.0 * n_conv / n,
-        wall_time_per_point=per_point,
     )
     bmap = BasinMap(
         grid=grid,
@@ -332,7 +334,10 @@ def entropy_beta_sweep(
         raise ValueError("step must be positive")
     if beta_lo > beta_hi:
         raise ValueError("beta_lo must not exceed beta_hi")
-    count = int(np.floor((beta_hi - beta_lo) / step + 1e-9)) + 1
+    span = (beta_hi - beta_lo) / step
+    if not np.isfinite([beta_lo, beta_hi, step, span]).all():
+        raise ValueError("beta_lo, beta_hi and step must give a finite number of betas")
+    count = int(np.floor(span + 1e-9)) + 1
     curve = []
     for k in range(count):
         beta = beta_lo + k * step

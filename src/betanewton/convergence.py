@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .core import (
     ANNEALING,
     BetaSchedule,
     IterationConfig,
-    IterationOutcome,
     ScalarProblem,
     Status,
     iterate,

@@ -11,8 +11,8 @@ cubic local convergence at simple roots, and the adaptive "annealing"
 schedule picks beta afresh each step from the derivative magnitudes at x and
 x_hat.
 
-One private `_update` serves numpy scalars (`iterate`, `extended_step`) and
-the arrays of the grid sweeps in `betanewton.basin` with the same IEEE double
+One private `_update` serves the numpy scalars of `iterate` and the arrays
+of the grid sweeps in `betanewton.basin` with the same IEEE double
 expressions.  Each path is bit-for-bit reproducible on its own, but scalar
 and array results can still drift apart in the last bit at heavy
 cancellations, for two reasons: numpy's SIMD complex multiply contracts with
@@ -25,9 +25,9 @@ the array length, hence on chunk size and grid width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,14 +50,6 @@ class UnknownProblem(KeyError):
 
 class DegenerateScheduleInput(ValueError):
     """Annealing beta is undefined: both derivative magnitudes are zero."""
-
-
-class DerivativeUnderflow(ArithmeticError):
-    """|f'(x)| at or below the guard threshold; the step cannot be taken."""
-
-
-class NonFiniteStep(ArithmeticError):
-    """The update produced a non-finite iterate."""
 
 
 @dataclass(frozen=True)
@@ -172,26 +164,6 @@ def _update(p: ScalarProblem, z, fp, anneal: bool, beta):
     if anneal:
         beta = _anneal_weight(fp, p.deriv(xhat))
     return xhat, xhat - beta * (p.eval(xhat) / fp)
-
-
-def extended_step(p: ScalarProblem, x, beta: float, deriv_guard: float = 1e-300):
-    """One beta-weighted two-step update.  Returns (x_next, x_hat).
-
-    Both divisions use f' at the original point x; exactly two evaluations
-    of f and one of f'.  Raises DerivativeUnderflow or NonFiniteStep instead
-    of returning garbage.
-    """
-    x = np.complex128(x)
-    with np.errstate(all="ignore"):
-        fp = p.deriv(x)
-        if not (abs(fp) > deriv_guard):
-            raise DerivativeUnderflow(f"|f'({x})| <= {deriv_guard}")
-        xhat, xnext = _update(p, x, fp, False, beta)
-        xnext = np.complex128(xnext)
-        xhat = np.complex128(xhat)
-    if not (math.isfinite(xnext.real) and math.isfinite(xnext.imag)):
-        raise NonFiniteStep(f"non-finite update from {x}")
-    return xnext, xhat
 
 
 def annealing_beta(fprime_n, fprime_hat) -> float:

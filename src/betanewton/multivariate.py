@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve

@@ -2,10 +2,15 @@
 
 Two layouts: a five-beta fixed sweep (iterations / convergence / relative
 time per beta) and a three-mode comparison (beta 0, beta 1, annealing) that
-adds the empirical convergence order.  Relative time normalizes each
-function's time-per-converged-point against its own beta = 0 run, so it is
-the one column that varies across machines and repetitions; everything else
-is deterministic.
+adds the empirical convergence order.
+
+Relative time is a paired measurement.  After one function's sweeps, a
+single pass times scalar `iterate` runs on a row-major subsample of each
+sweep's converged cells, interleaved cell by cell across the modes with the
+mode order rotating, and divides each mode's mean time per point by the
+beta = 0 one.  The machine's speed phases then fall on all modes alike and
+cancel in the ratio.  It is the one column that varies across machines and
+repetitions; everything else is deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .basin import GridSpec, sweep
+from . import basin
+from .basin import BasinMap, GridSpec
 from .convergence import order_probe
 from .core import BetaSchedule, IterationConfig, ScalarProblem, list_problems
 
@@ -46,18 +52,43 @@ class TableRow:
     columns: Dict[Tuple[str, str], Optional[float]] = field(default_factory=dict)
 
 
-def _row_from_sweeps(fid: str, per_beta: Dict[str, Tuple], order: Optional[Dict] = None) -> TableRow:
-    row = TableRow(fid)
-    base_time = per_beta["0"][1].wall_time_per_point
-    for desc, (bmap, metrics) in per_beta.items():
-        row.columns[("iterations", desc)] = metrics.mean_iterations
-        row.columns[("convergence_pct", desc)] = metrics.convergence_pct
-        rel = metrics.wall_time_per_point / base_time if base_time else float("nan")
-        row.columns[("rel_time", desc)] = rel
-    if order is not None:
-        for desc, q in order.items():
-            row.columns[("order", desc)] = q
-    return row
+def relative_times(
+    p: ScalarProblem,
+    runs: Dict[str, Tuple[BetaSchedule, BasinMap]],
+    cfg: IterationConfig,
+) -> Dict[str, float]:
+    """Per-point time of each run of p over that of its "0" run (beta = 0).
+
+    runs maps a beta descriptor to the schedule and basin map of one sweep;
+    all runs are timed together in one interleaved pass.
+    """
+    times = dict(zip(runs, basin._time_per_point(p, list(runs.values()), cfg)))
+    base = times["0"]
+    return {desc: t / base if base else float("nan") for desc, t in times.items()}
+
+
+def _build(
+    modes: Sequence[Tuple[str, BetaSchedule]],
+    grid: GridSpec,
+    cfg: IterationConfig,
+    jobs: int,
+    problems: Sequence[ScalarProblem],
+) -> List[TableRow]:
+    """Iterations, convergence and relative time of each problem in each mode."""
+    rows = []
+    for p in problems:
+        runs, metrics = {}, {}
+        for desc, sched in modes:
+            bmap, metrics[desc] = basin.sweep(p, grid, sched, cfg, jobs)
+            runs[desc] = (sched, bmap)
+        rel = relative_times(p, runs, cfg)
+        row = TableRow(p.id)
+        for desc, m in metrics.items():
+            row.columns[("iterations", desc)] = m.mean_iterations
+            row.columns[("convergence_pct", desc)] = m.convergence_pct
+            row.columns[("rel_time", desc)] = rel[desc]
+        rows.append(row)
+    return rows
 
 
 def build_table1(
@@ -67,13 +98,8 @@ def build_table1(
     problems: Optional[Sequence[ScalarProblem]] = None,
 ) -> List[TableRow]:
     """Fixed-beta sweep table over beta in {-1, -0.5, 0, 0.5, 1}."""
-    rows = []
-    for p in problems if problems is not None else list_problems():
-        per_beta = {}
-        for desc, beta in TABLE1_BETAS:
-            per_beta[desc] = sweep(p, grid, BetaSchedule.fixed(beta), cfg, jobs)
-        rows.append(_row_from_sweeps(p.id, per_beta))
-    return rows
+    modes = [(desc, BetaSchedule.fixed(beta)) for desc, beta in TABLE1_BETAS]
+    return _build(modes, grid, cfg, jobs, problems if problems is not None else list_problems())
 
 
 def build_table2(
@@ -83,15 +109,12 @@ def build_table2(
     problems: Optional[Sequence[ScalarProblem]] = None,
 ) -> List[TableRow]:
     """Three-mode table (beta 0, beta 1, annealing) with convergence orders."""
-    rows = []
-    for p in problems if problems is not None else list_problems():
-        per_beta = {}
-        order = {}
+    problems = problems if problems is not None else list_problems()
+    rows = _build(TABLE2_MODES, grid, cfg, jobs, problems)
+    for p, row in zip(problems, rows):
         for desc, sched in TABLE2_MODES:
-            per_beta[desc] = sweep(p, grid, sched, cfg, jobs)
             hit = order_probe(p, sched, cfg, grid.re_coords(), grid.im_coords())
-            order[desc] = hit[0].q_final if hit else None
-        rows.append(_row_from_sweeps(p.id, per_beta, order))
+            row.columns[("order", desc)] = hit[0].q_final if hit else None
     return rows
 
 

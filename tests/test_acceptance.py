@@ -31,7 +31,7 @@ from betanewton.multivariate import (
     rotor_velocities,
     solve_sync,
 )
-from betanewton.report import order_estimate_for
+from betanewton.report import TABLE2_MODES, order_estimate_for, relative_times
 
 GRID = GridSpec()  # 1000x1000 over [-2,2]^2
 CFG = IterationConfig()
@@ -46,17 +46,10 @@ def _report(tag, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def f2_reps():
-    """Repeated f2 sweeps; metrics are identical across reps, timings vary."""
+def f2_sweeps():
+    """One f2 sweep per table2 mode; sweep outputs depend only on their inputs."""
     p = get_problem("f2")
-    reps = []
-    for _ in range(TIMING_REPS):
-        reps.append({
-            "0": sweep(p, GRID, BetaSchedule.fixed(0.0), CFG),
-            "1": sweep(p, GRID, BetaSchedule.fixed(1.0), CFG),
-            "anneal": sweep(p, GRID, BetaSchedule.annealing(), CFG),
-        })
-    return reps
+    return {desc: sweep(p, GRID, sched, CFG) for desc, sched in TABLE2_MODES}
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +61,7 @@ def f4_sweeps():
     }
 
 
-def test_1_iteration_and_convergence_tables(f2_reps, f4_sweeps):
+def test_1_iteration_and_convergence_tables(f2_sweeps, f4_sweeps):
     # mean iterations within 0.3 and convergence within 2 points of the
     # pinned full-grid reference numbers
     targets = {
@@ -80,7 +73,7 @@ def test_1_iteration_and_convergence_tables(f2_reps, f4_sweeps):
     got = {}
     ok = True
     for (fid, desc), (want_it, want_conv) in targets.items():
-        _, metrics = f2_reps[0][desc] if fid == "f2" else f4_sweeps[desc]
+        _, metrics = f2_sweeps[desc] if fid == "f2" else f4_sweeps[desc]
         got[(fid, desc)] = (metrics.mean_iterations, metrics.convergence_pct)
         ok &= abs(metrics.mean_iterations - want_it) <= 0.3
         ok &= abs(metrics.convergence_pct - want_conv) <= 2.0
@@ -91,14 +84,15 @@ def test_1_iteration_and_convergence_tables(f2_reps, f4_sweeps):
     _report(1, ok, detail)
 
 
-def test_2_annealing_row_and_relative_time(f2_reps):
-    _, metrics = f2_reps[0]["anneal"]
-    hit = order_estimate_for(get_problem("f2"), BetaSchedule.annealing(), GRID, CFG)
+def test_2_annealing_row_and_relative_time(f2_sweeps):
+    p = get_problem("f2")
+    _, metrics = f2_sweeps["anneal"]
+    hit = order_estimate_for(p, BetaSchedule.annealing(), GRID, CFG)
     q = hit[0].q_final if hit else float("nan")
-    rel1 = np.median([rep["1"][1].wall_time_per_point /
-                      rep["0"][1].wall_time_per_point for rep in f2_reps])
-    rela = np.median([rep["anneal"][1].wall_time_per_point /
-                      rep["0"][1].wall_time_per_point for rep in f2_reps])
+    runs = {desc: (sched, f2_sweeps[desc][0]) for desc, sched in TABLE2_MODES}
+    reps = [relative_times(p, runs, CFG) for _ in range(TIMING_REPS)]
+    rel1 = np.median([rel["1"] for rel in reps])
+    rela = np.median([rel["anneal"] for rel in reps])
     ok = (abs(metrics.mean_iterations - 6.5) <= 0.3
           and abs(metrics.convergence_pct - 100.0) <= 1.0
           and abs(q - 4.14) <= 0.4
@@ -164,12 +158,12 @@ def test_4_cube_root_window():
             f"beta={win.beta_min:.5f} converges in <= {steps} steps from 80 starts")
 
 
-def test_5_basin_entropy(f2_reps):
+def test_5_basin_entropy(f2_sweeps):
     affine_map, _ = sweep(make_affine_problem(), GRID, BetaSchedule.fixed(0.0), CFG)
     s_affine = basin_entropy(affine_map, 20)
     p = get_problem("f2")
     neg_map, _ = sweep(p, GRID, BetaSchedule.fixed(-1.0), CFG)
-    maps = {-1.0: neg_map, 0.0: f2_reps[0]["0"][0], 1.0: f2_reps[0]["1"][0]}
+    maps = {-1.0: neg_map, 0.0: f2_sweeps["0"][0], 1.0: f2_sweeps["1"][0]}
     s = {b: basin_entropy(m, 20) for b, m in maps.items()}
     ok = s_affine == 0.0
     ok &= all(0.0 <= s[b] <= math.log(len(m.catalog.roots) + 1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from betanewton import basin
 from betanewton.basin import (
     BasinMap,
     GridSpec,
@@ -227,6 +228,29 @@ def test_entropy_beta_sweep_curve():
         entropy_beta_sweep(p, grid, IterationConfig(), 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         entropy_beta_sweep(p, grid, IterationConfig(), 1.0, 0.0, 0.5)
+    inf, nan = float("inf"), float("nan")
+    for lo, hi, step in ((0.0, inf, 1.0), (-inf, 0.0, 1.0), (0.0, 1.0, inf),
+                         (0.0, nan, 1.0), (nan, 1.0, 0.5), (0.0, 1.0, nan),
+                         (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError):
+            entropy_beta_sweep(p, grid, IterationConfig(), lo, hi, step)
+
+
+def test_time_per_point_interleaves_runs(monkeypatch):
+    # one 2x3 grid (re -2, 2; im -2, 0, 2) with 6, 4 and 0 converged cells
+    maps = [_manual_map(lab, np.ones((2, 3)), 1)
+            for lab in ([[0, 0, 0], [0, 0, 0]], [[0, -1, 0], [-1, 0, 0]], np.full((2, 3), -1))]
+    scheds = [BetaSchedule.fixed(0.0), BetaSchedule.fixed(1.0), BetaSchedule.annealing()]
+    calls = []
+    monkeypatch.setattr(basin, "iterate",
+                        lambda p, z0, sched, cfg: calls.append((scheds.index(sched), z0)))
+    times = basin._time_per_point(get_problem("f2"), list(zip(scheds, maps)), IterationConfig())
+    a = [complex(re, im) for re in (-2, 2) for im in (-2, 0, 2)]
+    b = [a[0], a[2], a[4], a[5]]
+    # cell i visits the runs from run i mod 3 on; the empty run is skipped
+    assert calls == [(0, a[0]), (1, b[0]), (1, b[1]), (0, a[1]), (0, a[2]), (1, b[2]),
+                     (0, a[3]), (1, b[3]), (0, a[4]), (0, a[5])]
+    assert times[0] >= 0 and times[1] >= 0 and math.isnan(times[2])
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,13 @@ def test_usage_errors_after_parsing(capsys):
     capsys.readouterr()
 
 
+def test_nonfinite_beta_sweep_is_runtime_error(capsys):
+    for spec in ("0:inf:1", "0:nan:1"):
+        assert main(["entropy", "--function", "f2", "--grid", "20x20", "--box", "10",
+                     "--beta-sweep", spec, "--jobs", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_argparse_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["fractal", "--grid", "8x8"])  # --function is required

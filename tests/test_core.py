@@ -11,14 +11,11 @@ from betanewton.core import (
     FIXED,
     BetaSchedule,
     DegenerateScheduleInput,
-    DerivativeUnderflow,
     IterationConfig,
-    NonFiniteStep,
     ScalarProblem,
     Status,
     UnknownProblem,
     annealing_beta,
-    extended_step,
     get_problem,
     iterate,
     list_problems,
@@ -52,36 +49,26 @@ class CountingProblem:
 # ---------------------------------------------------------------------------
 # single update step
 
+ONE_STEP = IterationConfig(max_iter=1, trace=True)
+
+
 def test_step_beta_zero_is_newton_point():
-    nxt, xhat = extended_step(SQUARE, 2.0, 0.0)
-    assert nxt == 1.25 + 0j
-    assert xhat == 1.25 + 0j
+    out = iterate(SQUARE, 2.0, BetaSchedule.fixed(0.0), ONE_STEP)
+    assert out.trace == (2.0 + 0j, 1.25 + 0j)
 
 
 def test_step_beta_one_exact_value():
-    nxt, xhat = extended_step(SQUARE, 2.0, 1.0)
-    assert xhat == 1.25 + 0j
-    # 1.25 - (1.25^2 - 1)/4 = 1.109375 exactly in binary floating point
-    assert nxt == 1.109375 + 0j
+    out = iterate(SQUARE, 2.0, BetaSchedule.fixed(1.0), ONE_STEP)
+    # x_hat = 1.25, then 1.25 - (1.25^2 - 1)/4 = 1.109375 exactly in binary
+    assert out.trace == (2.0 + 0j, 1.109375 + 0j)
 
 
 def test_step_evaluation_counts():
     cp = CountingProblem(SQUARE)
-    extended_step(cp.problem, 2.0, 1.0)
-    assert cp.calls_f == 2
-    assert cp.calls_fp == 1
-
-
-def test_step_rejects_critical_point():
-    with pytest.raises(DerivativeUnderflow):
-        extended_step(SQUARE, 0.0, 0.5)
-
-
-def test_step_rejects_nonfinite_result():
-    blows_up = ScalarProblem(
-        "exp2", lambda z: np.exp(z * z), lambda z: 2 * z * np.exp(z * z))
-    with pytest.raises(NonFiniteStep):
-        extended_step(blows_up, 30.0, 0.0)
+    out = iterate(cp.problem, 2.0, BetaSchedule.fixed(1.0), ONE_STEP)
+    assert (out.status, out.iterations) == (Status.MAX_ITERATIONS, 1)
+    assert cp.calls_f == out.evals_f == 2
+    assert cp.calls_fp == out.evals_fprime == 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +216,6 @@ def test_iterate_rejects_one_nonfinite_part(z0):
     assert out.status is Status.NUMERICAL_FAILURE
     assert out.iterations == 0
     assert out.final == z0
-    with pytest.raises(NonFiniteStep):
-        extended_step(const, z0, 0.0)
-
-
-@pytest.mark.parametrize("fid,z0,exc", [("f9", 710 + 0j, NonFiniteStep),
-                                        ("f13", 30 + 0j, NonFiniteStep),
-                                        ("f2", 0j, DerivativeUnderflow)])
-def test_steps_raise_on_failing_starts(fid, z0, exc):
-    with pytest.raises(exc):
-        extended_step(get_problem(fid), z0, 1.0)
 
 
 def test_iterate_trace_opt_in():

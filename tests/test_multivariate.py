@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from betanewton.core import BetaSchedule, IterationConfig, Status, extended_step, ScalarProblem
+from betanewton.core import BetaSchedule, IterationConfig, Status, ScalarProblem, iterate
 from betanewton.multivariate import (
     KuramotoSystem,
     MalformedSystem,
@@ -143,9 +143,10 @@ def test_diagonal_system_decouples_to_scalar_steps():
         lambda x: np.diag([2.0 * x[0], np.cos(x[1])]),
     )
     x = np.array([1.7, 0.4])
-    got = vector_extended_step(vp, x, BetaSchedule.fixed(0.6))
-    want0, _ = extended_step(f, x[0], 0.6)
-    want1, _ = extended_step(g, x[1], 0.6)
+    sched = BetaSchedule.fixed(0.6)
+    got = vector_extended_step(vp, x, sched)
+    want0 = iterate(f, x[0], sched, IterationConfig(max_iter=1)).final
+    want1 = iterate(g, x[1], sched, IterationConfig(max_iter=1)).final
     assert abs(got[0] - want0.real) < 1e-14
     assert abs(got[1] - want1.real) < 1e-14
 

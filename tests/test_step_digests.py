@@ -5,7 +5,7 @@
   function at beta 0, 1, -0.5 and under annealing, on a 64x520 chunk, whose
   33,280 cells lie above numpy's temporary-elision threshold for complex and
   for real arrays, and on its first 5,000 cells, which lie below both;
-- traced `iterate` runs and single `extended_step` updates from seeded starts;
+- traced `iterate` runs and one-step traced `iterate` runs from seeded starts;
 - `annealing_beta` on seeded derivative pairs;
 - `solve_sync` on small seeded Kuramoto systems under the three schedules.
 
@@ -25,11 +25,8 @@ from betanewton import basin
 from betanewton.core import (
     BetaSchedule,
     DegenerateScheduleInput,
-    DerivativeUnderflow,
     IterationConfig,
-    NonFiniteStep,
     annealing_beta,
-    extended_step,
     iterate,
     list_problems,
 )
@@ -82,6 +79,7 @@ def _kernel_digests() -> dict:
 def _scalar_digests() -> dict:
     rng = np.random.default_rng(20240423)
     traced = IterationConfig(trace=True)
+    one_step = IterationConfig(max_iter=1, trace=True)
     runs, steps = [], []
     for p in list_problems():
         for sched in SCHEDULES.values():
@@ -91,10 +89,9 @@ def _scalar_digests() -> dict:
                              np.asarray(o.trace, np.complex128).tobytes()))
         for z0 in _points(rng, 8):
             for beta in (0.0, 1.0, -0.5, 0.37):
-                try:
-                    steps.append(np.array(extended_step(p, z0, beta)).tobytes())
-                except (DerivativeUnderflow, NonFiniteStep) as exc:
-                    steps.append(type(exc).__name__)
+                o = iterate(p, z0, BetaSchedule.fixed(beta), one_step)
+                steps.append((o.status.value, o.iterations,
+                              np.asarray(o.trace, np.complex128).tobytes()))
     pairs = zip(_complex(*rng.standard_normal((2, 500))), _complex(*rng.standard_normal((2, 500))))
     edges = [(0j, 0j), (1e-170, 0j), (1e200, 1e200), (1.0, 1e200), (1e154, 0j), (0j, 1.0)]
     weights = []
@@ -103,7 +100,7 @@ def _scalar_digests() -> dict:
             weights.append(annealing_beta(fp, fh))
         except DegenerateScheduleInput as exc:
             weights.append(str(exc))
-    return {"iterate": _sha(runs), "extended_step": _sha(steps),
+    return {"iterate": _sha(runs), "iterate/one_step": _sha(steps),
             "annealing_beta": _sha(weights)}
 
 
