@@ -37,6 +37,8 @@ _ST_MAXITER = 2
 # a discovered root must actually satisfy the equation
 _ROOT_RESIDUAL_TOL = 1e-10
 
+_MAX_BETAS = 1000  # per entropy curve; each costs a sweep, and paper-scale curves use 21
+
 
 class IncompatibleCovering(ValueError):
     """Entropy box size does not tile the grid exactly."""
@@ -92,13 +94,16 @@ class BasinMap:
     catalog: RootCatalog
     max_iter: int
 
+    @property
+    def mean_iterations(self) -> float:
+        """Mean iteration count of the cells labelled with a root (nan if none)."""
+        converged = self.labels >= 0
+        return float(self.iter_counts[converged].mean()) if converged.any() else float("nan")
 
-@dataclass(frozen=True)
-class SweepMetrics:
-    """Aggregates over one sweep; divergent cells are excluded throughout."""
-
-    mean_iterations: float
-    convergence_pct: float
+    @property
+    def convergence_pct(self) -> float:
+        """Share of the grid's cells labelled with a root, in percent."""
+        return 100.0 * int((self.labels >= 0).sum()) / self.labels.size
 
 
 def _starts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -199,8 +204,9 @@ def _assign_labels(
     return labels
 
 
-# cells timed per map; per-cell clocks on every cell would dominate the run
-_TIMING_SAMPLE_TARGET = 2048
+# cells timed per map: enough for a steady per-step cost, since the map
+# already gives each run's exact iteration count
+_TIMING_SAMPLE_TARGET = 256
 
 
 def _time_per_point(
@@ -208,13 +214,15 @@ def _time_per_point(
     runs: Sequence[Tuple[BetaSchedule, BasinMap]],
     cfg: IterationConfig,
 ) -> List[float]:
-    """Mean per-cell wall seconds of each (schedule, map) run, timed together.
+    """Wall seconds per iteration step of each (schedule, map) run, timed together.
 
     Each run times single-cell `iterate` calls on a row-major stride of its
-    map's converged cells.  The runs are interleaved cell by cell, with the
-    run order rotating from one cell to the next, so that the machine's
-    speed phases fall on every run alike and cancel in their ratios.  A run
-    with no converged cell gets nan.
+    map's converged cells and divides their seconds by their iterations.
+    The runs are interleaved cell by cell, with the run order rotating from
+    one cell to the next, so that the machine's speed phases fall on every
+    run alike and cancel in their ratios.  A run with no converged cell gets
+    nan.  The name, from when it returned seconds per point, is kept for the
+    benchmark's tracing hooks, which wrap it by name.
     """
     cfg = replace(cfg, trace=False)
     samples = []
@@ -226,15 +234,16 @@ def _time_per_point(
                                 for flat in conv_idx[::stride]]))
     m = len(samples)
     totals = [0.0] * m
+    steps = [0] * m
     for i in range(max((len(z0s) for _, z0s in samples), default=0)):
         for k in ((i + j) % m for j in range(m)):
             sched, z0s = samples[k]
             if i < len(z0s):
                 t0 = time.perf_counter()
-                iterate(p, z0s[i], sched, cfg)
+                out = iterate(p, z0s[i], sched, cfg)
                 totals[k] += time.perf_counter() - t0
-    return [t / len(z0s) if z0s else float("nan")
-            for t, (_, z0s) in zip(totals, samples)]
+                steps[k] += out.iterations
+    return [t / n if n else float("nan") for t, n in zip(totals, steps)]
 
 
 def sweep(
@@ -243,8 +252,8 @@ def sweep(
     sched: BetaSchedule = BetaSchedule.fixed(0.0),
     cfg: IterationConfig = IterationConfig(),
     jobs: int = 1,
-) -> Tuple[BasinMap, SweepMetrics]:
-    """Iterate every grid cell; returns the basin map and its metrics.
+) -> BasinMap:
+    """Iterate every grid cell; returns the basin map.
 
     jobs > 1 runs fixed-size row chunks on a thread pool; chunk boundaries
     and all per-cell arithmetic are identical for every worker count, so the
@@ -277,22 +286,13 @@ def sweep(
 
     catalog = RootCatalog(list(p.known_roots), 1e-6)
     labels = _assign_labels(p, status, final, catalog)
-
-    converged = labels >= 0
-    n_conv = int(converged.sum())
-    mean_iters = float(iters[converged].mean()) if n_conv else float("nan")
-    metrics = SweepMetrics(
-        mean_iterations=mean_iters,
-        convergence_pct=100.0 * n_conv / n,
-    )
-    bmap = BasinMap(
+    return BasinMap(
         grid=grid,
         labels=labels.reshape(grid.nx, grid.ny),
         iter_counts=iters.reshape(grid.nx, grid.ny),
         catalog=catalog,
         max_iter=cfg.max_iter,
     )
-    return bmap, metrics
 
 
 def basin_entropy(bmap: BasinMap, box: int = 20) -> float:
@@ -329,7 +329,7 @@ def entropy_beta_sweep(
     box: int = 20,
     jobs: int = 1,
 ) -> List[Tuple[float, float]]:
-    """Basin entropy at each fixed beta in [beta_lo, beta_hi] with the given step."""
+    """Basin entropy at each fixed beta in [beta_lo, beta_hi] by step, at most _MAX_BETAS."""
     if step <= 0:
         raise ValueError("step must be positive")
     if beta_lo > beta_hi:
@@ -338,10 +338,12 @@ def entropy_beta_sweep(
     if not np.isfinite([beta_lo, beta_hi, step, span]).all():
         raise ValueError("beta_lo, beta_hi and step must give a finite number of betas")
     count = int(np.floor(span + 1e-9)) + 1
+    if count > _MAX_BETAS:
+        raise ValueError(f"the range holds {count} betas; at most {_MAX_BETAS} are allowed")
     curve = []
     for k in range(count):
         beta = beta_lo + k * step
-        bmap, _ = sweep(p, grid, BetaSchedule.fixed(beta), cfg, jobs)
+        bmap = sweep(p, grid, BetaSchedule.fixed(beta), cfg, jobs)
         curve.append((beta, basin_entropy(bmap, box)))
     return curve
 

@@ -112,7 +112,7 @@ def _cmd_table2(args) -> int:
 
 def _cmd_fractal(args) -> int:
     p = core.get_problem(args.function)
-    bmap, _ = basin.sweep(p, args.grid, _schedule(args), _config(args), args.jobs)
+    bmap = basin.sweep(p, args.grid, _schedule(args), _config(args), args.jobs)
     if args.format == "json":
         _emit(args, json.dumps(basin.basin_map_to_json(bmap)))
     else:
@@ -137,13 +137,13 @@ def _cmd_entropy(args) -> int:
             w.writerow([repr(beta), repr(s)])
     else:
         sched = _schedule(args)
-        bmap, metrics = basin.sweep(p, args.grid, sched, cfg, args.jobs)
+        bmap = basin.sweep(p, args.grid, sched, cfg, args.jobs)
         s = basin.basin_entropy(bmap, args.box)
         w.writerow(["function", "beta_mode", "beta", "mean_iterations",
                     "convergence_pct", "entropy"])
         w.writerow([p.id, sched.mode,
                     "" if sched.mode == core.ANNEALING else repr(sched.beta),
-                    repr(metrics.mean_iterations), repr(metrics.convergence_pct),
+                    repr(bmap.mean_iterations), repr(bmap.convergence_pct),
                     repr(s)])
     _emit(args, buf.getvalue())
     return EXIT_OK

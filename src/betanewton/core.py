@@ -151,7 +151,8 @@ def _anneal_weight(fp, fph):
     """Annealing beta 2a/(a+b) with a = |f'(x)|^2 and b = |f'(x_hat)|^2."""
     a = _abs2(fp)
     b = _abs2(fph)
-    return 2.0 * a / (a + b)
+    # same bits as 2.0 * a / (a + b) wherever 0.5 * (a + b) is normal; 2.0 * a could overflow
+    return a / (0.5 * (a + b))
 
 
 def _update(p: ScalarProblem, z, fp, anneal: bool, beta):

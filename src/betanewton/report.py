@@ -4,13 +4,13 @@ Two layouts: a five-beta fixed sweep (iterations / convergence / relative
 time per beta) and a three-mode comparison (beta 0, beta 1, annealing) that
 adds the empirical convergence order.
 
-Relative time is a paired measurement.  After one function's sweeps, a
-single pass times scalar `iterate` runs on a row-major subsample of each
-sweep's converged cells, interleaved cell by cell across the modes with the
-mode order rotating, and divides each mode's mean time per point by the
-beta = 0 one.  The machine's speed phases then fall on all modes alike and
-cancel in the ratio.  It is the one column that varies across machines and
-repetitions; everything else is deterministic.
+Relative time is a mode's mean time per converged point over beta = 0's:
+the exact ratio of the sweeps' mean iteration counts times a timed ratio of
+step costs.  One pass per function times scalar `iterate` runs on about 256
+converged cells per sweep, interleaved cell by cell across the modes with
+the mode order rotating, so the machine's speed phases fall on all modes
+alike and cancel in the ratio.  It is the one column that varies across
+machines and repetitions; everything else is deterministic.
 """
 
 from __future__ import annotations
@@ -59,10 +59,12 @@ def relative_times(
 ) -> Dict[str, float]:
     """Per-point time of each run of p over that of its "0" run (beta = 0).
 
-    runs maps a beta descriptor to the schedule and basin map of one sweep;
-    all runs are timed together in one interleaved pass.
+    runs maps a beta descriptor to the schedule and basin map of one sweep.
+    Time per point is the map's mean iteration count times the seconds per
+    step that one interleaved pass over all runs measures.
     """
-    times = dict(zip(runs, basin._time_per_point(p, list(runs.values()), cfg)))
+    secs = basin._time_per_point(p, list(runs.values()), cfg)
+    times = {desc: bmap.mean_iterations * s for (desc, (_, bmap)), s in zip(runs.items(), secs)}
     base = times["0"]
     return {desc: t / base if base else float("nan") for desc, t in times.items()}
 
@@ -77,15 +79,12 @@ def _build(
     """Iterations, convergence and relative time of each problem in each mode."""
     rows = []
     for p in problems:
-        runs, metrics = {}, {}
-        for desc, sched in modes:
-            bmap, metrics[desc] = basin.sweep(p, grid, sched, cfg, jobs)
-            runs[desc] = (sched, bmap)
+        runs = {desc: (sched, basin.sweep(p, grid, sched, cfg, jobs)) for desc, sched in modes}
         rel = relative_times(p, runs, cfg)
         row = TableRow(p.id)
-        for desc, m in metrics.items():
-            row.columns[("iterations", desc)] = m.mean_iterations
-            row.columns[("convergence_pct", desc)] = m.convergence_pct
+        for desc, (_, bmap) in runs.items():
+            row.columns[("iterations", desc)] = bmap.mean_iterations
+            row.columns[("convergence_pct", desc)] = bmap.convergence_pct
             row.columns[("rel_time", desc)] = rel[desc]
         rows.append(row)
     return rows

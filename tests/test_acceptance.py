@@ -73,7 +73,7 @@ def test_1_iteration_and_convergence_tables(f2_sweeps, f4_sweeps):
     got = {}
     ok = True
     for (fid, desc), (want_it, want_conv) in targets.items():
-        _, metrics = f2_sweeps[desc] if fid == "f2" else f4_sweeps[desc]
+        metrics = f2_sweeps[desc] if fid == "f2" else f4_sweeps[desc]
         got[(fid, desc)] = (metrics.mean_iterations, metrics.convergence_pct)
         ok &= abs(metrics.mean_iterations - want_it) <= 0.3
         ok &= abs(metrics.convergence_pct - want_conv) <= 2.0
@@ -86,10 +86,10 @@ def test_1_iteration_and_convergence_tables(f2_sweeps, f4_sweeps):
 
 def test_2_annealing_row_and_relative_time(f2_sweeps):
     p = get_problem("f2")
-    _, metrics = f2_sweeps["anneal"]
+    metrics = f2_sweeps["anneal"]
     hit = order_estimate_for(p, BetaSchedule.annealing(), GRID, CFG)
     q = hit[0].q_final if hit else float("nan")
-    runs = {desc: (sched, f2_sweeps[desc][0]) for desc, sched in TABLE2_MODES}
+    runs = {desc: (sched, f2_sweeps[desc]) for desc, sched in TABLE2_MODES}
     reps = [relative_times(p, runs, CFG) for _ in range(TIMING_REPS)]
     rel1 = np.median([rel["1"] for rel in reps])
     rela = np.median([rel["anneal"] for rel in reps])
@@ -159,11 +159,11 @@ def test_4_cube_root_window():
 
 
 def test_5_basin_entropy(f2_sweeps):
-    affine_map, _ = sweep(make_affine_problem(), GRID, BetaSchedule.fixed(0.0), CFG)
+    affine_map = sweep(make_affine_problem(), GRID, BetaSchedule.fixed(0.0), CFG)
     s_affine = basin_entropy(affine_map, 20)
     p = get_problem("f2")
-    neg_map, _ = sweep(p, GRID, BetaSchedule.fixed(-1.0), CFG)
-    maps = {-1.0: neg_map, 0.0: f2_sweeps["0"][0], 1.0: f2_sweeps["1"][0]}
+    neg_map = sweep(p, GRID, BetaSchedule.fixed(-1.0), CFG)
+    maps = {-1.0: neg_map, 0.0: f2_sweeps["0"], 1.0: f2_sweeps["1"]}
     s = {b: basin_entropy(m, 20) for b, m in maps.items()}
     ok = s_affine == 0.0
     ok &= all(0.0 <= s[b] <= math.log(len(m.catalog.roots) + 1)
@@ -265,7 +265,7 @@ def test_7_method_properties():
     ref = None
     part_ok = True
     for jobs in (1, 2, 8):
-        bmap, _ = sweep(p6, small, BetaSchedule.annealing(), CFG, jobs=jobs)
+        bmap = sweep(p6, small, BetaSchedule.annealing(), CFG, jobs=jobs)
         if ref is None:
             ref = bmap
         part_ok &= np.array_equal(bmap.labels, ref.labels)

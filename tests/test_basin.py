@@ -1,6 +1,7 @@
 """Unit tests for grid sweeps, root cataloging, entropy, and rendering."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from betanewton.basin import (
 from betanewton.core import (
     BetaSchedule,
     IterationConfig,
+    IterationOutcome,
     Status,
     get_problem,
     iterate,
     make_affine_problem,
 )
+from betanewton.report import relative_times
 
 
 def _manual_map(labels, iters, n_roots, max_iter=50):
@@ -60,10 +63,10 @@ def test_grid_validation():
 def test_affine_sweep_every_cell_two_steps():
     p = make_affine_problem(1.0, -1.0)
     grid = GridSpec(nx=40, ny=40)
-    bmap, metrics = sweep(p, grid, BetaSchedule.fixed(0.5), IterationConfig())
-    assert metrics.convergence_pct == 100.0
+    bmap = sweep(p, grid, BetaSchedule.fixed(0.5), IterationConfig())
+    assert bmap.convergence_pct == 100.0
     # step one lands on the root; step two confirms with a sub-epsilon move
-    assert metrics.mean_iterations == 2.0
+    assert bmap.mean_iterations == 2.0
     assert bmap.labels.shape == (40, 40)
     assert bmap.catalog.roots == [1.0 + 0.0j]
     assert (bmap.labels == 0).all()
@@ -73,18 +76,13 @@ def test_affine_sweep_every_cell_two_steps():
 def test_sweep_independent_of_worker_count():
     p = get_problem("f6")
     grid = GridSpec(nx=120, ny=56)
-    maps = []
-    for jobs in (1, 2, 8):
-        bmap, metrics = sweep(p, grid, BetaSchedule.annealing(),
-                              IterationConfig(), jobs=jobs)
-        maps.append((bmap, metrics))
-    base, base_m = maps[0]
-    for bmap, metrics in maps[1:]:
+    maps = [sweep(p, grid, BetaSchedule.annealing(), IterationConfig(), jobs=jobs)
+            for jobs in (1, 2, 8)]
+    base = maps[0]
+    for bmap in maps[1:]:
         assert np.array_equal(bmap.labels, base.labels)
         assert np.array_equal(bmap.iter_counts, base.iter_counts)
         assert bmap.catalog.roots == base.catalog.roots
-        assert metrics.mean_iterations == base_m.mean_iterations
-        assert metrics.convergence_pct == base_m.convergence_pct
 
 
 def test_kernel_matches_scalar_iteration():
@@ -110,8 +108,7 @@ def test_kernel_matches_scalar_iteration():
 
 def test_catalog_growth_is_clean():
     p = get_problem("f6")
-    bmap, _ = sweep(p, GridSpec(nx=65, ny=65), BetaSchedule.fixed(0.0),
-                    IterationConfig())
+    bmap = sweep(p, GridSpec(nx=65, ny=65), BetaSchedule.fixed(0.0), IterationConfig())
     roots = bmap.catalog.roots
     assert roots[:3] == list(p.known_roots)
     assert len(roots) > 3  # big Newton jumps near cos = 0 reach far multiples of pi
@@ -135,7 +132,7 @@ def test_conjugate_symmetric_functions_give_mirror_basins():
     assert np.array_equal(im, -im[::-1])
     for fid in ("f2", "f4", "f6", "f9"):
         p = get_problem(fid)
-        bmap, _ = sweep(p, grid, BetaSchedule.annealing(), IterationConfig())
+        bmap = sweep(p, grid, BetaSchedule.annealing(), IterationConfig())
         roots = np.asarray(bmap.catalog.roots)
         perm = np.array([int(np.argmin(np.abs(roots - np.conj(r))))
                          for r in roots])
@@ -231,9 +228,19 @@ def test_entropy_beta_sweep_curve():
     inf, nan = float("inf"), float("nan")
     for lo, hi, step in ((0.0, inf, 1.0), (-inf, 0.0, 1.0), (0.0, 1.0, inf),
                          (0.0, nan, 1.0), (nan, 1.0, 0.5), (0.0, 1.0, nan),
-                         (-1e308, 1e308, 1.0)):
+                         (-1e308, 1e308, 1.0), (0.0, 1e300, 1.0),
+                         (0.0, float(basin._MAX_BETAS), 1.0)):
         with pytest.raises(ValueError):
             entropy_beta_sweep(p, grid, IterationConfig(), lo, hi, step)
+
+
+def test_map_metrics_skip_unlabelled_cells():
+    bmap = _manual_map([[0, -1], [1, 0]], [[2, 50], [4, 6]], 2)
+    assert bmap.mean_iterations == 4.0
+    assert bmap.convergence_pct == 75.0
+    bmap = _manual_map(np.full((2, 2), -1), np.ones((2, 2)), 1)
+    assert math.isnan(bmap.mean_iterations)
+    assert bmap.convergence_pct == 0.0
 
 
 def test_time_per_point_interleaves_runs(monkeypatch):
@@ -242,8 +249,12 @@ def test_time_per_point_interleaves_runs(monkeypatch):
             for lab in ([[0, 0, 0], [0, 0, 0]], [[0, -1, 0], [-1, 0, 0]], np.full((2, 3), -1))]
     scheds = [BetaSchedule.fixed(0.0), BetaSchedule.fixed(1.0), BetaSchedule.annealing()]
     calls = []
-    monkeypatch.setattr(basin, "iterate",
-                        lambda p, z0, sched, cfg: calls.append((scheds.index(sched), z0)))
+
+    def fake_iterate(p, z0, sched, cfg):
+        calls.append((scheds.index(sched), z0))
+        return IterationOutcome(Status.CONVERGED, z0, 3)
+
+    monkeypatch.setattr(basin, "iterate", fake_iterate)
     times = basin._time_per_point(get_problem("f2"), list(zip(scheds, maps)), IterationConfig())
     a = [complex(re, im) for re in (-2, 2) for im in (-2, 0, 2)]
     b = [a[0], a[2], a[4], a[5]]
@@ -251,6 +262,35 @@ def test_time_per_point_interleaves_runs(monkeypatch):
     assert calls == [(0, a[0]), (1, b[0]), (1, b[1]), (0, a[1]), (0, a[2]), (1, b[2]),
                      (0, a[3]), (1, b[3]), (0, a[4]), (0, a[5])]
     assert times[0] >= 0 and times[1] >= 0 and math.isnan(times[2])
+
+
+def test_relative_time_is_iteration_ratio_times_step_cost(monkeypatch):
+    # a fake clock charges each run a fixed cost per step, and the timed runs
+    # report step counts unlike their maps' means: the estimate must take
+    # the iteration ratio from the maps and the step cost from the clock
+    maps = {"0": _manual_map([[0, 0], [0, -1]], [[4, 4], [4, 50]], 1),
+            "1": _manual_map([[0, 0], [0, 0]], [[1, 2], [3, 2]], 1),
+            "anneal": _manual_map([[0, -1], [-1, -1]], [[8, 1], [1, 1]], 1)}
+    cost = {"0": 1.0, "1": 3.0, "anneal": 0.5}
+    steps = {"0": 7, "1": 5, "anneal": 2}
+    scheds = {"0": BetaSchedule.fixed(0.0), "1": BetaSchedule.fixed(1.0),
+              "anneal": BetaSchedule.annealing()}
+    desc_of = {sched: desc for desc, sched in scheds.items()}
+    clock = [0.0]
+
+    def fake_iterate(p, z0, sched, cfg):
+        desc = desc_of[sched]
+        clock[0] += cost[desc] * steps[desc]
+        return IterationOutcome(Status.CONVERGED, z0, steps[desc])
+
+    monkeypatch.setattr(basin, "iterate", fake_iterate)
+    monkeypatch.setattr(basin, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    runs = {desc: (scheds[desc], bmap) for desc, bmap in maps.items()}
+    rel = relative_times(get_problem("f2"), runs, IterationConfig())
+    assert [maps[d].mean_iterations for d in maps] == [4.0, 2.0, 8.0]
+    assert rel == {d: maps[d].mean_iterations * cost[d] / (maps["0"].mean_iterations * cost["0"])
+                   for d in maps}
+    assert rel == {"0": 1.0, "1": 1.5, "anneal": 1.0}
 
 
 # ---------------------------------------------------------------------------

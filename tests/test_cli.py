@@ -172,7 +172,7 @@ def test_usage_errors_after_parsing(capsys):
 
 
 def test_nonfinite_beta_sweep_is_runtime_error(capsys):
-    for spec in ("0:inf:1", "0:nan:1"):
+    for spec in ("0:inf:1", "0:nan:1", "0:1e300:1"):
         assert main(["entropy", "--function", "f2", "--grid", "20x20", "--box", "10",
                      "--beta-sweep", spec, "--jobs", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: ")

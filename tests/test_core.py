@@ -78,6 +78,8 @@ def test_annealing_beta_examples():
     assert annealing_beta(1.0, 1.0) == 1.0
     assert annealing_beta(1.0, 0.0) == 2.0
     assert annealing_beta(1.0, 3.0) == 0.2
+    # |f'(x)|^2 = 1e308 is finite, and so is the weight, though 2|f'(x)|^2 is not
+    assert annealing_beta(1e154, 0.0) == 2.0
 
 
 def test_annealing_beta_degenerate_inputs():
