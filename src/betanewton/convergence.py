@@ -45,9 +45,12 @@ class DegenerateRoot(ValueError):
 class OrderEstimate:
     """Empirical convergence order of one iterate trace.
 
-    q_final is the last entry of q_series (None when no q was computable);
-    valid requires at least MIN_ORDER_ITERATIONS completed steps and a
-    non-empty q_series.
+    q_final is the last entry of q_series (None when no q was computable).
+    valid requires at least MIN_ORDER_ITERATIONS completed steps, a
+    non-empty q_series, and a contracting tail: the last three displacements
+    of at least epsilon strictly shrink.  An order is only meaningful once
+    the iterates contract; a trace still wandering before it settles can
+    give any q, negative ones included.
     """
 
     q_series: tuple
@@ -73,6 +76,7 @@ def estimate_order(trace: Sequence[complex], epsilon: float = 1e-14) -> OrderEst
             stop = k
             break
     series = e[:stop]
+    contracting = len(series) >= 3 and series[-3] > series[-2] > series[-1]
     floor = 2.0 * _EPS_MACH * max(1.0, abs(trace[-1]))
     if stop < len(e) and e[stop] > floor:
         series.append(e[stop])
@@ -86,7 +90,7 @@ def estimate_order(trace: Sequence[complex], epsilon: float = 1e-14) -> OrderEst
         qs.append(math.log(series[n + 1] / series[n]) / den)
     q_final = qs[-1] if qs else None
     iterations = len(trace) - 1
-    valid = iterations >= MIN_ORDER_ITERATIONS and bool(qs)
+    valid = iterations >= MIN_ORDER_ITERATIONS and bool(qs) and contracting
     return OrderEstimate(tuple(qs), q_final, valid)
 
 
@@ -100,11 +104,12 @@ def order_probe(
     """Scan starting points and estimate the order of the first usable trace.
 
     Candidates must converge with at least MIN_ORDER_ITERATIONS steps and
-    yield a computable q.  Fixed schedules scan the grid in row-major order
-    (real index outer).  The annealing schedule scans real-axis starts first:
-    its per-step beta is real, so the cancellation that lifts the order
-    beyond three acts only on real trajectories, and a complex start would
-    systematically measure the lower off-axis order.
+    yield a valid estimate (see OrderEstimate).  Fixed schedules scan the
+    grid in row-major order (real index outer).  The annealing schedule
+    scans real-axis starts first: its per-step beta is real, so the
+    cancellation that lifts the order beyond three acts only on real
+    trajectories, and a complex start would systematically measure the
+    lower off-axis order.
 
     The scan is screened by the vectorized sweep kernel: the real axis is one
     block, and the grid follows in blocks of 1, 2, 4, ... rows, capped at the

@@ -147,10 +147,12 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-def _anneal_weight(fp, fph):
-    """Annealing beta 2a/(a+b) with a = |f'(x)|^2 and b = |f'(x_hat)|^2."""
-    a = _abs2(fp)
-    b = _abs2(fph)
+def _anneal_weight(a, b):
+    """Annealing beta 2a/(a+b) from squared derivative sizes at x and x_hat.
+
+    The scalar paths pass |f'|^2; the vector step passes the squared
+    Frobenius norms of its two Jacobians.
+    """
     # same bits as 2.0 * a / (a + b) wherever 0.5 * (a + b) is normal; 2.0 * a could overflow
     return a / (0.5 * (a + b))
 
@@ -163,7 +165,7 @@ def _update(p: ScalarProblem, z, fp, anneal: bool, beta):
     """
     xhat = z - p.eval(z) / fp
     if anneal:
-        beta = _anneal_weight(fp, p.deriv(xhat))
+        beta = _anneal_weight(_abs2(fp), _abs2(p.deriv(xhat)))
     return xhat, xhat - beta * (p.eval(xhat) / fp)
 
 
@@ -176,12 +178,13 @@ def annealing_beta(fprime_n, fprime_hat) -> float:
     fp = np.complex128(fprime_n)
     fh = np.complex128(fprime_hat)
     with np.errstate(all="ignore"):
-        denom = _abs2(fp) + _abs2(fh)
+        a, b = _abs2(fp), _abs2(fh)
+        denom = a + b
         if not denom > 0:
             raise DegenerateScheduleInput("both derivative magnitudes are zero")
         if not np.isfinite(denom):
             raise DegenerateScheduleInput("derivative magnitude overflow")
-        return float(_anneal_weight(fp, fh))
+        return float(_anneal_weight(a, b))
 
 
 def iterate(

@@ -10,6 +10,20 @@ leaves N-1 trigonometric equations in phi_1..phi_{N-1}; kappa scales out
 entirely, so the reduced residual is kappa-free.  The solver is the vector
 analogue of the scalar update: both linear solves of a step reuse the one
 LU factorization of the Jacobian at the step's starting point.
+
+The residual uses no trigonometry over an N x N array.  By angle addition,
+sin(phi_i - phi_j + psi_ij) splits into sin and cos of the N phases times
+A = gamma * cos(psi) and B = gamma * sin(psi), which `build_kuramoto_problem`
+forms once; a residual call is then four matrix-vector products in numpy's
+own loops, with no BLAS call.  The Jacobian keeps its cos form but is built
+transposed in one N x N buffer, so that J comes out Fortran-ordered and
+LAPACK overwrites it with its LU factors instead of copying it.  A step so
+holds one N x N array besides gamma, psi, A and B.  A rejected Jacobian
+(non-finite, singular or too ill-conditioned) or a non-finite step ends
+`solve_sync` with a numerical-failure status, never an exception.
+`rotor_velocities` stays on the direct N x N sine sum, sharing no formula
+with the residual, so it remains an independent cross-check of a
+converged state.
 """
 
 from __future__ import annotations
@@ -22,13 +36,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
-from .core import ANNEALING, BetaSchedule, IterationConfig, Status
+from .core import ANNEALING, BetaSchedule, IterationConfig, Status, _anneal_weight
 
 _RCOND_MIN = 1e-14  # reciprocal condition estimate below this is singular
-
-
-class SingularJacobian(RuntimeError):
-    """Jacobian factorization failed or the condition estimate blew up."""
 
 
 class MalformedSystem(ValueError):
@@ -37,7 +47,11 @@ class MalformedSystem(ValueError):
 
 @dataclass(frozen=True)
 class VectorProblem:
-    """A residual map R^m -> R^m with an analytic Jacobian."""
+    """A residual map R^m -> R^m with an analytic Jacobian.
+
+    jacobian must return a new array on each call: the vector step
+    overwrites it with its LU factors.
+    """
 
     dim: int
     residual: Callable
@@ -86,22 +100,31 @@ class SyncSolution:
     iterations: int
 
 
+def _sq_norm(J: np.ndarray) -> float:
+    """Squared Frobenius norm, without an N x N temporary."""
+    return float(np.einsum("ij,ij->", J, J))
+
+
 def _factor(J: np.ndarray):
-    """LU-factor J and estimate its condition; raise when untrustworthy."""
+    """LU-factor J and estimate its condition; None when untrustworthy.
+
+    J is rejected when it has a non-finite entry, when LAPACK fails, or when
+    the reciprocal 1-norm condition estimate falls below _RCOND_MIN.  A
+    Fortran-ordered J is overwritten by its factors; any other is copied.
+    """
     if not np.isfinite(J).all():
-        raise SingularJacobian("non-finite Jacobian entries")
-    anorm = np.abs(J).sum(axis=0).max() if J.size else 0.0
+        return None
+    anorm = lapack.dlange("1", J) if J.size else 0.0
     try:
         with warnings.catch_warnings():
-            # exact singularity is detected below and raised; the warning is noise
+            # exact singularity is caught by the condition estimate below
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(J)
-    except ValueError as exc:
-        raise SingularJacobian(str(exc)) from exc
+            lu, piv = lu_factor(J, overwrite_a=True, check_finite=False)
+    except ValueError:
+        return None
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
-        raise SingularJacobian(
-            f"singular Jacobian at iterate (rcond estimate {rcond:.3e})")
+        return None
     return lu, piv
 
 
@@ -113,28 +136,33 @@ def vector_extended_step(vp: VectorProblem, phi: np.ndarray, sched: BetaSchedule
     supplies beta.  The annealing schedule takes the vector analogue of the
     scalar weight, beta = 2a / (a + b) with a and b the squared Frobenius
     norms of J and of the Jacobian at phi - d1, which costs one more
-    Jacobian evaluation.  Raises SingularJacobian when J cannot be trusted.
+    Jacobian evaluation.  a is read before the LU overwrites J, and the
+    second Jacobian is built after the factors are freed, so a step holds
+    one N x N buffer at a time.  Returns all NaN when J cannot be trusted.
     """
     phi = np.asarray(phi, dtype=float)
     J = vp.jacobian(phi)
-    lu, piv = _factor(J)
-    d1 = lu_solve((lu, piv), vp.residual(phi))
+    anneal = sched.mode == ANNEALING
+    a = _sq_norm(J) if anneal else None
+    factors = _factor(J)
+    if factors is None:
+        return np.full_like(phi, np.nan)
+    d1 = lu_solve(factors, vp.residual(phi), check_finite=False)
     phi_hat = phi - d1
-    d2 = lu_solve((lu, piv), vp.residual(phi_hat))
-    if sched.mode == ANNEALING:
-        a = float((J * J).sum())
-        b = float((vp.jacobian(phi_hat) ** 2).sum())
-        beta = 2.0 * a / (a + b)
-    else:
-        beta = sched.beta
+    d2 = lu_solve(factors, vp.residual(phi_hat), check_finite=False)
+    del J, factors
+    beta = _anneal_weight(a, _sq_norm(vp.jacobian(phi_hat))) if anneal else sched.beta
     return phi_hat - beta * d2
 
 
 def rotor_velocities(sys: KuramotoSystem, phases: np.ndarray) -> np.ndarray:
     """kappa * sum_j gamma[i, j] * sin(phases_i - phases_j + psi[i, j]) per rotor."""
     phases = np.asarray(phases, dtype=float)
-    diff = phases[:, None] - phases[None, :] + sys.psi
-    return sys.kappa * (sys.gamma * np.sin(diff)).sum(axis=1)
+    terms = np.subtract.outer(phases, phases)
+    terms += sys.psi
+    np.sin(terms, out=terms)
+    terms *= sys.gamma
+    return sys.kappa * terms.sum(axis=1)
 
 
 def omega_from_phases(sys: KuramotoSystem, phases: np.ndarray) -> float:
@@ -148,32 +176,51 @@ def omega_from_phases(sys: KuramotoSystem, phases: np.ndarray) -> float:
 def build_kuramoto_problem(sys: KuramotoSystem) -> VectorProblem:
     """Reduced residual in phi_1..phi_{N-1} with phi_0 = 0 and omega eliminated.
 
-    residual_i = drive - f_i where drive = sum_j gamma[0, j] sin(psi[0, j] - phi_j)
-    is omega/kappa and f_i = sum_j gamma[i, j] sin(phi_i - phi_j + psi[i, j]);
-    kappa does not appear.
+    residual_i = f_0 - f_i where f_i = sum_j gamma[i, j] sin(phi_i - phi_j + psi[i, j])
+    and f_0 = omega/kappa; kappa does not appear.  By angle addition, with
+    c = cos(phi), s = sin(phi), A = gamma * cos(psi) and B = gamma * sin(psi),
+
+        f_i = s_i (A c + B s)_i + c_i (B c - A s)_i
+
+    A and B are formed once here, so a residual call costs sin and cos of the
+    N phases and four matrix-vector products (np.einsum, not BLAS).  The
+    Jacobian is the cos form, built in place in one new (N-1) x (N-1) array
+    per call and returned Fortran-ordered.
     """
-    n = sys.n_rotors
+    m = sys.n_rotors - 1
     g = sys.gamma
     ps = sys.psi
+    A = np.cos(ps)
+    A *= g
+    B = np.sin(ps)
+    B *= g
+    diag = np.arange(m)
 
     def residual(phi):
         full = np.concatenate(([0.0], np.asarray(phi, dtype=float)))
-        drive = (g[0] * np.sin(ps[0] - full)).sum()
-        diff = full[1:, None] - full[None, :] + ps[1:]
-        f = (g[1:] * np.sin(diff)).sum(axis=1)
-        return drive - f
+        c = np.cos(full)
+        s = np.sin(full)
+        f = (s * (np.einsum("ij,j->i", A, c) + np.einsum("ij,j->i", B, s))
+             + c * (np.einsum("ij,j->i", B, c) - np.einsum("ij,j->i", A, s)))
+        return f[0] - f[1:]
 
     def jacobian(phi):
-        full = np.concatenate(([0.0], np.asarray(phi, dtype=float)))
-        c = g[1:] * np.cos(full[1:, None] - full[None, :] + ps[1:])
-        ddrive = -g[0, 1:] * np.cos(ps[0, 1:] - full[1:])
-        jac = np.tile(ddrive, (n - 1, 1))
-        jac += c[:, 1:]
-        idx = np.arange(n - 1)
-        jac[idx, idx] = ddrive - c.sum(axis=1)
-        return jac
+        phi = np.asarray(phi, dtype=float)
+        # jt = J^T in C order, so J = jt.T is Fortran-ordered for an in-place LU;
+        # jt[k, i] = gamma[i, k] cos(phi_i - phi_k + psi[i, k]) for rotors i, k >= 1
+        jt = np.subtract.outer(phi, phi)
+        np.subtract(ps[1:, 1:].T, jt, out=jt)
+        np.cos(jt, out=jt)
+        jt *= g[1:, 1:].T
+        # d f_0 / d phi_k, shared by every row of J, and rotor 0's term in each f_i
+        ddrive = -g[0, 1:] * np.cos(ps[0, 1:] - phi)
+        c0 = g[1:, 0] * np.cos(phi + ps[1:, 0])
+        row_sums = c0 + jt.sum(axis=0)
+        jt += ddrive[:, None]
+        jt[diag, diag] = ddrive - row_sums
+        return jt.T
 
-    return VectorProblem(n - 1, residual, jacobian)
+    return VectorProblem(m, residual, jacobian)
 
 
 def solve_sync(
@@ -187,7 +234,9 @@ def solve_sync(
     Stops when the max-norm step displacement drops below epsilon (vector
     default 1e-12).  On convergence the state is cross-checked: every rotor
     velocity must match omega to 1e-10, otherwise the run is downgraded to a
-    numerical failure.  A singular Jacobian raises.
+    numerical failure.  A step whose Jacobian is rejected (non-finite,
+    singular or too ill-conditioned) or whose result is not finite ends the
+    run with a numerical failure and the steps completed before it.
     """
     if cfg is None:
         cfg = IterationConfig(epsilon=1e-12)
@@ -212,6 +261,7 @@ def solve_sync(
     phases = np.concatenate(([0.0], phi))
     omega = omega_from_phases(sys, phases)
     residual_norm = float(np.abs(vp.residual(phi)).max())
+    del vp  # A and B are not needed for the cross-check
     if status is Status.CONVERGED:
         v = rotor_velocities(sys, phases)
         if np.abs(v - omega).max() >= 1e-10:

@@ -149,6 +149,16 @@ def test_unknown_function_exit_code(capsys):
     assert "unknown function id" in capsys.readouterr().err
 
 
+def test_singular_system_is_a_status_not_an_error(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"n": 3, "gamma": [0.0] * 9, "psi": [0.0] * 9}))
+    assert main(["kuramoto", "--input", str(zero), "--schedule", "fixed",
+                 "--beta", "0"]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["solution"]["status"] == "numerical_failure"
+    assert out.err == ""
+
+
 def test_malformed_system_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"n\": 3}")

@@ -107,6 +107,18 @@ def test_final_subthreshold_displacement_used_when_resolved():
     assert est.q_final == pytest.approx(expected, rel=1e-12)
 
 
+def test_estimate_needs_a_contracting_tail():
+    # ten steps and computable q's, but the last displacements grow again
+    tr = _trace_with_displacement_exponents([1, 2, 3, 4, 5, 6, 7, 8, 7, 6])
+    est = estimate_order(tr)
+    assert est.q_series
+    assert not est.valid
+    # one more shrinking step is not enough: the last three must shrink
+    assert not estimate_order(tr + [tr[-1] - 2.0 ** -9]).valid
+    steady = _trace_with_displacement_exponents([1, 2, 3, 4, 5, 6, 7, 8, 7, 8, 9])
+    assert estimate_order(steady).valid
+
+
 def test_final_subthreshold_displacement_dropped_at_noise_floor():
     tr = [0.0, 1.0, 1.1, 1.101, 1.101 + 2e-16]
     est = estimate_order(tr, epsilon=1e-14)
@@ -189,6 +201,18 @@ def test_probe_equals_unscreened_scalar_scan(nx, ny, max_iter):
     # every pair qualifies somewhere on these grids unless the budget is too short
     assert found == (0 if max_iter < MIN_ORDER_ITERATIONS
                      else len(list_problems()) * len(SCHEDULES))
+
+
+def test_probe_skips_traces_that_have_not_contracted():
+    # f10 under annealing on 196x204 used to pick -1.5897, whose trace is
+    # still wandering at its last steps, and report q = -88
+    grid = GridSpec(nx=196, ny=204)
+    hit = order_probe(get_problem("f10"), BetaSchedule.annealing(), IterationConfig(),
+                      grid.re_coords(), grid.im_coords())
+    assert hit is not None
+    est, start, _ = hit
+    assert est.valid
+    assert est.q_final > 3.5, (start, est.q_final)
 
 
 @pytest.mark.parametrize("size", ["200x200", "1000x1000"])

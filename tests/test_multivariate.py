@@ -10,7 +10,6 @@ from betanewton.core import BetaSchedule, IterationConfig, Status, ScalarProblem
 from betanewton.multivariate import (
     KuramotoSystem,
     MalformedSystem,
-    SingularJacobian,
     VectorProblem,
     build_kuramoto_problem,
     kuramoto_from_json,
@@ -151,11 +150,13 @@ def test_diagonal_system_decouples_to_scalar_steps():
     assert abs(got[1] - want1.real) < 1e-14
 
 
-def test_singular_jacobian_raises():
+def test_singular_jacobian_is_a_numerical_failure():
     n = 4
     sys = KuramotoSystem(n, np.zeros((n, n)), np.zeros((n, n)))
-    with pytest.raises(SingularJacobian):
-        solve_sync(sys)
+    sol = solve_sync(sys)
+    assert sol.status is Status.NUMERICAL_FAILURE
+    assert sol.iterations == 0
+    assert np.array_equal(sol.phases, np.zeros(n))
 
 
 # ---------------------------------------------------------------------------
