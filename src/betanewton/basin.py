@@ -130,9 +130,7 @@ def _sweep_chunk(
     anneal = sched.mode == ANNEALING
     with np.errstate(all="ignore"):
         for step in range(1, cfg.max_iter + 1):
-            fp = p.deriv(z)
-            ok = np.abs(fp) > cfg.deriv_guard
-            znext = _update(p, z, fp, anneal, sched.beta)[1]
+            ok, znext = _update(p, z, anneal, sched.beta, cfg.deriv_guard)
             good = ok & np.isfinite(znext.real) & np.isfinite(znext.imag)
             disp = np.abs(znext - z)
             conv = good & (disp < cfg.epsilon)

@@ -13,13 +13,17 @@ x_hat.
 
 One private `_update` serves the numpy scalars of `iterate` and the arrays
 of the grid sweeps in `betanewton.basin` with the same IEEE double
-expressions.  Each path is bit-for-bit reproducible on its own, but scalar
+expressions, taking f and f' from each problem's `fdf`.  numpy elides
+temporaries of at least 256 KiB (16,384 complex elements), evaluating an
+expression in place in its temporary operand; for a commutative operation it
+swaps the operands when only the right one is a temporary, and FMA
+contraction makes a complex product's last bit depend on the operand order.
+So every product of two complex values in the registry has its temporary as
+the left operand or multiplies named variables, and a sweep cell's bits do
+not depend on the array length, hence on chunk size or grid width.  Scalar
 and array results can still drift apart in the last bit at heavy
-cancellations, for two reasons: numpy's SIMD complex multiply contracts with
-FMA while the scalar one does not, and numpy elides temporaries of at least
-256 KiB (16,384 complex elements), evaluating such expressions in place
-through other inner loops.  The second makes a sweep cell's bits depend on
-the array length, hence on chunk size and grid width.
+cancellations: numpy's SIMD complex multiply contracts with FMA while the
+scalar one does not.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ class ScalarProblem:
 
     eval/deriv/deriv2 accept and return numpy scalars or arrays; deriv2 and
     known_roots are optional.  display is a human-readable formula string.
+    `fdf(z)` gives (f(z), f'(z)), the pair each update step needs: through
+    `fused` where f and f' share transcendentals, else eval and deriv.
     """
 
     id: str
@@ -66,6 +72,14 @@ class ScalarProblem:
     deriv2: Optional[Callable] = None
     known_roots: tuple = ()
     display: str = ""
+    fused: Optional[Callable] = None
+
+    def fdf(self, z):
+        """(f(z), f'(z)), bit-identical to (eval(z), deriv(z))."""
+        if self.fused is not None:
+            return self.fused(z)
+        fp = self.deriv(z)  # first, so that no f(z) array waits while f' is formed
+        return self.eval(z), fp
 
 
 @dataclass(frozen=True)
@@ -157,16 +171,25 @@ def _anneal_weight(a, b):
     return a / (0.5 * (a + b))
 
 
-def _update(p: ScalarProblem, z, fp, anneal: bool, beta):
-    """One two-step update from z with fp = f'(z); returns (x_hat, x_next).
+def _update(p: ScalarProblem, z, anneal: bool, beta, guard: float):
+    """One two-step update from z; returns (|f'(z)| > guard, x_next).
 
-    z and fp are numpy scalars or arrays; with anneal, beta comes from
-    `_anneal_weight`.  Callers guard fp, check finiteness, count evaluations.
+    z is a numpy scalar or array.  f and f' at z come from one `fdf`, and
+    with anneal those at x_hat from another, for `_anneal_weight`.  In a
+    sweep each value is a chunk-sized array, so f(z) is dropped once x_hat
+    is formed, f'(x_hat) once beta is, and a fixed schedule's f(x_hat) stays
+    a temporary.  Callers check finiteness and count evaluations.
     """
-    xhat = z - p.eval(z) / fp
-    if anneal:
-        beta = _anneal_weight(_abs2(fp), _abs2(p.deriv(xhat)))
-    return xhat, xhat - beta * (p.eval(xhat) / fp)
+    f, fp = p.fdf(z)
+    ok = np.abs(fp) > guard
+    xhat = z - f / fp
+    del f
+    if not anneal:
+        return ok, xhat - beta * (p.eval(xhat) / fp)
+    fhat, fphat = p.fdf(xhat)
+    beta = _anneal_weight(_abs2(fp), _abs2(fphat))
+    del fphat
+    return ok, xhat - beta * (fhat / fp)
 
 
 def annealing_beta(fprime_n, fprime_hat) -> float:
@@ -205,13 +228,9 @@ def iterate(
     evals_fp = 0
     with np.errstate(all="ignore"):
         for step in range(1, cfg.max_iter + 1):
-            fp = p.deriv(z)
-            if not (abs(fp) > cfg.deriv_guard):
-                return IterationOutcome(
-                    Status.NUMERICAL_FAILURE, complex(z), step - 1,
-                    tuple(trace) if cfg.trace else None, evals_f, evals_fp)
-            znext = np.complex128(_update(p, z, fp, anneal, sched.beta)[1])
-            if not (math.isfinite(znext.real) and math.isfinite(znext.imag)):
+            ok, znext = _update(p, z, anneal, sched.beta, cfg.deriv_guard)
+            znext = np.complex128(znext)
+            if not (ok and math.isfinite(znext.real) and math.isfinite(znext.imag)):
                 return IterationOutcome(
                     Status.NUMERICAL_FAILURE, complex(z), step - 1,
                     tuple(trace) if cfg.trace else None, evals_f, evals_fp)
@@ -234,6 +253,10 @@ def iterate(
 # Test-function registry.  Evaluations are written with numpy ufuncs so the
 # same code serves scalars and whole grids; factored forms are kept factored
 # because accuracy near clustered roots (f5's double root) depends on it.
+# A product of two complex values names both factors or has its temporary on
+# the left, so elision never swaps them (see the module docstring).  `_fdf*`
+# bodies compute the transcendentals f and f' share once, with the same
+# expressions as the separate bodies.
 
 def _f1(z):
     return (z * z - 1) * (z * z + 1)
@@ -335,8 +358,10 @@ def _f8(z):
     return np.sin(z - 1.4) ** 2 - (z - 1.4) ** 2 + 1
 
 
-def _df8(z):
-    return 2 * np.sin(z - 1.4) * np.cos(z - 1.4) - 2 * (z - 1.4)
+def _fdf8(z):
+    w = z - 1.4
+    s = np.sin(w)
+    return s ** 2 - w ** 2 + 1, 2 * s * np.cos(w) - 2 * w
 
 
 def _d2f8(z):
@@ -347,8 +372,9 @@ def _f9(z):
     return z * z - np.exp(z) - 3 * z + 2
 
 
-def _df9(z):
-    return 2 * z - np.exp(z) - 3
+def _fdf9(z):
+    e = np.exp(z)
+    return z * z - e - 3 * z + 2, 2 * z - e - 3
 
 
 def _d2f9(z):
@@ -393,12 +419,25 @@ def _d2f12(z):
 
 def _f13(z):
     u = z + 1.25
-    return u * np.exp(u * u) - np.sin(u) ** 2 + 3 * np.cos(u) + 5
+    e = np.exp(u * u)
+    return u * e - np.sin(u) ** 2 + 3 * np.cos(u) + 5
 
 
-def _df13(z):
+def _fdf13(z):
+    # each shared array is dropped once spent, so that a sweep chunk holds
+    # about as many arrays at a time as the separate f and f' bodies did
     u = z + 1.25
-    return np.exp(u * u) * (1 + 2 * u * u) - 2 * np.sin(u) * np.cos(u) - 3 * np.sin(u)
+    e = np.exp(u * u)
+    ue = u * e
+    g = 1 + 2 * u * u
+    eg = e * g
+    del e, g
+    s = np.sin(u)
+    c = np.cos(u)
+    del u
+    f = ue - s ** 2 + 3 * c + 5
+    del ue
+    return f, eg - 2 * s * c - 3 * s
 
 
 def _d2f13(z):
@@ -413,11 +452,15 @@ def _f14(z):
         return np.where(z == 0, 0.0, z + z * z * np.sin(2.0 / z))
 
 
-def _df14(z):
+def _fdf14(z):
     # the derivative has no limit at 0; returning 0 there trips the guard
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        return np.where(z == 0, 0.0, 1 + 2 * z * np.sin(2.0 / z) - 2 * np.cos(2.0 / z))
+        w = 2.0 / z
+        s = np.sin(w)
+        zero = z == 0
+        return (np.where(zero, 0.0, z + z * z * s),
+                np.where(zero, 0.0, 1 + 2 * z * s - 2 * np.cos(w)))
 
 
 _S3 = 0.8660254037844386  # sqrt(3)/2 rounded to double
@@ -457,13 +500,13 @@ _PROBLEM_LIST = [
          complex(-1.6826150067070484, -0.358259359924043)),
         "(x - 1)^3 + 4(x - 1)^2 - 10"),
     ScalarProblem(
-        "f8", _f8, _df8, _d2f8,
+        "f8", _f8, lambda z: _fdf8(z)[1], _d2f8,
         (2.804491648215341 + 0.0j, -0.004491648215341226 + 0.0j),
-        "sin(x - 1.4)^2 - (x - 1.4)^2 + 1"),
+        "sin(x - 1.4)^2 - (x - 1.4)^2 + 1", _fdf8),
     ScalarProblem(
-        "f9", _f9, _df9, _d2f9,
+        "f9", _f9, lambda z: _fdf9(z)[1], _d2f9,
         (0.2575302854398608 + 0.0j,),
-        "x^2 - e^x - 3x + 2"),
+        "x^2 - e^x - 3x + 2", _fdf9),
     ScalarProblem(
         "f10", _f10, _df10, _d2f10,
         (1.4890851332151607 + 0.0j,),
@@ -479,13 +522,14 @@ _PROBLEM_LIST = [
          complex(0.9227826549840581, -1.865795172362064)),
         "(x - 2)^3 - 10"),
     ScalarProblem(
-        "f13", _f13, _df13, _d2f13,
+        "f13", _f13, lambda z: _fdf13(z)[1], _d2f13,
         (-2.457647827130919 + 0.0j,),
-        "(x + 1.25)e^((x + 1.25)^2) - sin(x + 1.25)^2 + 3cos(x + 1.25) + 5"),
+        "(x + 1.25)e^((x + 1.25)^2) - sin(x + 1.25)^2 + 3cos(x + 1.25) + 5",
+        _fdf13),
     ScalarProblem(
-        "f14", _f14, _df14, None,
+        "f14", _f14, lambda z: _fdf14(z)[1], None,
         (0.0 + 0.0j,),
-        "x + x^2 sin(2/x)"),
+        "x + x^2 sin(2/x)", _fdf14),
 ]
 
 PROBLEMS = {p.id: p for p in _PROBLEM_LIST}

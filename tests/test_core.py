@@ -319,6 +319,47 @@ def test_registry_second_derivatives_match_finite_differences():
             assert abs(fd - an) <= 1e-5 * max(1.0, abs(an)), (p.id, z)
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, np.complex128).tobytes()
+
+
+# the separate derivative bodies that the fused f8, f9, f13 and f14 replaced
+def _old_df8(z):
+    return 2 * np.sin(z - 1.4) * np.cos(z - 1.4) - 2 * (z - 1.4)
+
+
+def _old_df9(z):
+    return 2 * z - np.exp(z) - 3
+
+
+def _old_df13(z):
+    u = z + 1.25
+    return np.exp(u * u) * (1 + 2 * u * u) - 2 * np.sin(u) * np.cos(u) - 3 * np.sin(u)
+
+
+def _old_df14(z):
+    z = np.asarray(z, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        return np.where(z == 0, 0.0, 1 + 2 * z * np.sin(2.0 / z) - 2 * np.cos(2.0 / z))
+
+
+OLD_DERIVS = {"f8": _old_df8, "f9": _old_df9, "f13": _old_df13, "f14": _old_df14}
+
+
+def test_fdf_is_bitwise_eval_and_deriv():
+    # 5,000 cells lie below numpy's elision threshold, like the scalars
+    zs = np.concatenate(([0.0], _fd_lattice(4999)))
+    with np.errstate(all="ignore"):
+        for p in list_problems():
+            old = OLD_DERIVS.get(p.id, p.deriv)
+            f, fp = p.fdf(zs)
+            assert (_bits(f), _bits(fp)) == (_bits(p.eval(zs)), _bits(old(zs))), p.id
+            for z in zs[:200]:
+                f, fp = p.fdf(z)
+                assert (_bits(f), _bits(fp)) == (_bits(p.eval(z)), _bits(old(z))), (p.id, z)
+                assert _bits(p.deriv(z)) == _bits(fp), (p.id, z)
+
+
 def test_f14_continuous_extension_at_origin():
     p = get_problem("f14")
     assert complex(np.complex128(p.eval(np.complex128(0.0)))) == 0.0 + 0.0j
