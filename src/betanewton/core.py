@@ -181,7 +181,7 @@ def _update(p: ScalarProblem, z, anneal: bool, beta, guard: float):
     a temporary.  Callers check finiteness and count evaluations.
     """
     f, fp = p.fdf(z)
-    ok = np.abs(fp) > guard
+    ok = abs(fp) > guard
     xhat = z - f / fp
     del f
     if not anneal:
