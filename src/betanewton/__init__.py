@@ -14,23 +14,18 @@ from .core import (
     ANNEALING,
     FIXED,
     BetaSchedule,
-    DegenerateScheduleInput,
     IterationConfig,
     IterationOutcome,
     ScalarProblem,
     Status,
     UnknownProblem,
-    annealing_beta,
     get_problem,
     iterate,
     list_problems,
-    make_affine_problem,
 )
 from .convergence import (
     CubeRootWindow,
-    DegenerateRoot,
     OrderEstimate,
-    analytic_error_ratio,
     cube_root_problem,
     cube_root_window,
     estimate_order,
@@ -67,7 +62,6 @@ from .report import (
     TableRow,
     build_table1,
     build_table2,
-    order_estimate_for,
     relative_times,
     to_csv,
     to_json,
@@ -82,8 +76,6 @@ __all__ = [
     "BasinMap",
     "BetaSchedule",
     "CubeRootWindow",
-    "DegenerateRoot",
-    "DegenerateScheduleInput",
     "GridSpec",
     "IncompatibleCovering",
     "IterationConfig",
@@ -98,8 +90,6 @@ __all__ = [
     "TableRow",
     "UnknownProblem",
     "VectorProblem",
-    "analytic_error_ratio",
-    "annealing_beta",
     "basin_entropy",
     "basin_map_to_json",
     "build_kuramoto_problem",
@@ -115,9 +105,7 @@ __all__ = [
     "kuramoto_from_json",
     "kuramoto_to_json",
     "list_problems",
-    "make_affine_problem",
     "omega_from_phases",
-    "order_estimate_for",
     "order_probe",
     "random_kuramoto",
     "relative_times",

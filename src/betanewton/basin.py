@@ -130,7 +130,7 @@ def _sweep_chunk(
     anneal = sched.mode == ANNEALING
     with np.errstate(all="ignore"):
         for step in range(1, cfg.max_iter + 1):
-            ok, znext = _update(p, z, anneal, sched.beta, cfg.deriv_guard)
+            ok, znext = _update(p, z, anneal, sched.beta)
             good = ok & np.isfinite(znext.real) & np.isfinite(znext.imag)
             disp = np.abs(znext - z)
             conv = good & (disp < cfg.epsilon)

@@ -153,19 +153,17 @@ def _cmd_order(args) -> int:
     cfg = _config(args)
     problems = [core.get_problem(args.function)] if args.function else core.list_problems()
     if args.beta is not None:
-        modes = [("fixed", core.BetaSchedule.fixed(args.beta))]
+        schedules = [core.BetaSchedule.fixed(args.beta)]
     elif args.schedule == "anneal":
-        modes = [("anneal", core.BetaSchedule.annealing())]
+        schedules = [core.BetaSchedule.annealing()]
     else:
-        modes = [("fixed0", core.BetaSchedule.fixed(0.0)),
-                 ("fixed1", core.BetaSchedule.fixed(1.0)),
-                 ("anneal", core.BetaSchedule.annealing())]
+        schedules = [sched for _, sched in report.TABLE2_MODES]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["function", "beta_mode", "beta", "q_final", "valid"])
     for p in problems:
-        for _, sched in modes:
-            hit = report.order_estimate_for(p, sched, args.grid, cfg)
+        for sched in schedules:
+            hit = convergence.order_probe(p, args.grid, sched, cfg)
             beta_txt = "" if sched.mode == core.ANNEALING else repr(sched.beta)
             if hit is None:
                 w.writerow([p.id, sched.mode, beta_txt, "", "false"])
@@ -210,7 +208,7 @@ def _cmd_kuramoto(args) -> int:
     else:
         raise SystemExit2("kuramoto needs --input FILE or --random N --seed S")
     sched = _schedule(args)
-    cfg = core.IterationConfig(epsilon=args.eps, max_iter=args.max_iter)
+    cfg = _config(args)
     phi0 = None
     if args.phi0 is not None:
         try:

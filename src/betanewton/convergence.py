@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import basin
-from .basin import _CHUNK_ROWS, _ST_CONVERGED, _starts
+from .basin import _CHUNK_ROWS, _ST_CONVERGED, GridSpec, _starts
 from .core import (
     ANNEALING,
     BetaSchedule,
@@ -35,10 +35,6 @@ _EPS_MACH = float(np.finfo(float).eps)
 
 # minimum completed update steps for a trace to support an order estimate
 MIN_ORDER_ITERATIONS = 8
-
-
-class DegenerateRoot(ValueError):
-    """The error-ratio formula needs f'(root) != 0."""
 
 
 @dataclass(frozen=True)
@@ -96,12 +92,11 @@ def estimate_order(trace: Sequence[complex], epsilon: float = 1e-14) -> OrderEst
 
 def order_probe(
     p: ScalarProblem,
+    grid: GridSpec,
     sched: BetaSchedule,
     cfg: IterationConfig,
-    re_coords: Sequence[float],
-    im_coords: Sequence[float],
 ):
-    """Scan starting points and estimate the order of the first usable trace.
+    """Scan the grid's starts and estimate the order of the first usable trace.
 
     Candidates must converge with at least MIN_ORDER_ITERATIONS steps and
     yield a valid estimate (see OrderEstimate).  Fixed schedules scan the
@@ -124,8 +119,8 @@ def order_probe(
     Returns (OrderEstimate, start_point, IterationOutcome) or None.
     """
     probe_cfg = replace(cfg, trace=True)
-    re = np.asarray(re_coords, dtype=float)
-    im = np.asarray(im_coords, dtype=float)
+    re = grid.re_coords()
+    im = grid.im_coords()
 
     def attempt(z0):
         out = iterate(p, z0, sched, probe_cfg)
@@ -205,20 +200,6 @@ def cube_root_problem() -> ScalarProblem:
     part only; start iterations from real points.
     """
     return ScalarProblem(
-        "cuberoot", _cbrt_eval, _cbrt_deriv, None, (0.0 + 0.0j,),
+        "cuberoot", _cbrt_eval, _cbrt_deriv, (0.0 + 0.0j,),
         "x^(1/3), real axis")
 
-
-def analytic_error_ratio(p: ScalarProblem, root: complex, beta: float) -> complex:
-    """Predicted limit of (z_next - r)/(z - r)^2 near a simple root r.
-
-    Equals (1 - beta)/2 * f''(r)/f'(r); zero curvature or beta = 1 pushes
-    the local order past two.
-    """
-    if p.deriv2 is None:
-        raise ValueError(f"{p.id} has no second derivative")
-    r = np.complex128(root)
-    d1 = p.deriv(r)
-    if abs(d1) < 1e-12:
-        raise DegenerateRoot(f"f'({root}) = 0 for {p.id}; ratio undefined")
-    return complex((1.0 - beta) / 2.0 * p.deriv2(r) / d1)

@@ -6,7 +6,9 @@ reuses the derivative from the original point:
     x_hat  = x - f(x) / f'(x)
     x_next = x_hat - beta * f(x_hat) / f'(x)
 
-beta = 0 reduces to Newton's method, beta = 1 gives a two-step method with
+beta = 0 reduces to Newton's method, bit for bit while every value stays
+finite; where f(x_hat) overflows, 0 * (f(x_hat) / f'(x)) is nan and the run
+fails one step before Newton's does.  beta = 1 gives a two-step method with
 cubic local convergence at simple roots, and the adaptive "annealing"
 schedule picks beta afresh each step from the derivative magnitudes at x and
 x_hat.
@@ -47,21 +49,20 @@ class Status(Enum):
 FIXED = "fixed"
 ANNEALING = "annealing"
 
+# a step whose |f'(x)| is at most this is a numerical failure
+DERIV_GUARD = 1e-300
+
 
 class UnknownProblem(KeyError):
     """Requested function id is not in the registry."""
-
-
-class DegenerateScheduleInput(ValueError):
-    """Annealing beta is undefined: both derivative magnitudes are zero."""
 
 
 @dataclass(frozen=True)
 class ScalarProblem:
     """A complex-analytic test function with hand-coded derivatives.
 
-    eval/deriv/deriv2 accept and return numpy scalars or arrays; deriv2 and
-    known_roots are optional.  display is a human-readable formula string.
+    eval/deriv accept and return numpy scalars or arrays; known_roots is
+    optional.  display is a human-readable formula string.
     `fdf(z)` gives (f(z), f'(z)), the pair each update step needs: through
     `fused` where f and f' share transcendentals, else eval and deriv.
     """
@@ -69,7 +70,6 @@ class ScalarProblem:
     id: str
     eval: Callable
     deriv: Callable
-    deriv2: Optional[Callable] = None
     known_roots: tuple = ()
     display: str = ""
     fused: Optional[Callable] = None
@@ -107,24 +107,18 @@ class BetaSchedule:
     def annealing(cls) -> "BetaSchedule":
         return cls(ANNEALING, 0.0)
 
-    @property
-    def degenerate(self) -> bool:
-        """beta = -1 is allowed but the fixed-point argument fails there."""
-        return self.mode == FIXED and self.beta == -1.0
-
 
 @dataclass(frozen=True)
 class IterationConfig:
     """Stopping rules for `iterate`.
 
     Convergence is declared when the step displacement |x_next - x| drops
-    below epsilon; a step whose derivative magnitude is <= deriv_guard or
+    below epsilon; a step whose derivative magnitude is <= DERIV_GUARD or
     whose result is non-finite is a numerical failure.
     """
 
     epsilon: float = 1e-14
     max_iter: int = 50
-    deriv_guard: float = 1e-300
     trace: bool = False
 
     def __post_init__(self):
@@ -132,8 +126,6 @@ class IterationConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.deriv_guard < 0:
-            raise ValueError("deriv_guard must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -171,8 +163,8 @@ def _anneal_weight(a, b):
     return a / (0.5 * (a + b))
 
 
-def _update(p: ScalarProblem, z, anneal: bool, beta, guard: float):
-    """One two-step update from z; returns (|f'(z)| > guard, x_next).
+def _update(p: ScalarProblem, z, anneal: bool, beta):
+    """One two-step update from z; returns (|f'(z)| > DERIV_GUARD, x_next).
 
     z is a numpy scalar or array.  f and f' at z come from one `fdf`, and
     with anneal those at x_hat from another, for `_anneal_weight`.  In a
@@ -181,7 +173,7 @@ def _update(p: ScalarProblem, z, anneal: bool, beta, guard: float):
     a temporary.  Callers check finiteness and count evaluations.
     """
     f, fp = p.fdf(z)
-    ok = abs(fp) > guard
+    ok = abs(fp) > DERIV_GUARD
     xhat = z - f / fp
     del f
     if not anneal:
@@ -190,24 +182,6 @@ def _update(p: ScalarProblem, z, anneal: bool, beta, guard: float):
     beta = _anneal_weight(_abs2(fp), _abs2(fphat))
     del fphat
     return ok, xhat - beta * (fhat / fp)
-
-
-def annealing_beta(fprime_n, fprime_hat) -> float:
-    """Adaptive step weight from the derivative at x and at the Newton point.
-
-    Returns 2|f'_n|^2 / (|f'_hat|^2 + |f'_n|^2), always real and in (0, 2]
-    for nonzero f'_n.  It is the weight `iterate` and the sweep kernel use.
-    """
-    fp = np.complex128(fprime_n)
-    fh = np.complex128(fprime_hat)
-    with np.errstate(all="ignore"):
-        a, b = _abs2(fp), _abs2(fh)
-        denom = a + b
-        if not denom > 0:
-            raise DegenerateScheduleInput("both derivative magnitudes are zero")
-        if not np.isfinite(denom):
-            raise DegenerateScheduleInput("derivative magnitude overflow")
-        return float(_anneal_weight(a, b))
 
 
 def iterate(
@@ -228,7 +202,7 @@ def iterate(
     evals_fp = 0
     with np.errstate(all="ignore"):
         for step in range(1, cfg.max_iter + 1):
-            ok, znext = _update(p, z, anneal, sched.beta, cfg.deriv_guard)
+            ok, znext = _update(p, z, anneal, sched.beta)
             znext = np.complex128(znext)
             if not (ok and math.isfinite(znext.real) and math.isfinite(znext.imag)):
                 return IterationOutcome(
@@ -266,20 +240,12 @@ def _df1(z):
     return 4 * z * z * z
 
 
-def _d2f1(z):
-    return 12 * z * z
-
-
 def _f2(z):
     return z * z * z - 1
 
 
 def _df2(z):
     return 3 * z * z
-
-
-def _d2f2(z):
-    return 6 * z
 
 
 def _f3(z):
@@ -296,13 +262,6 @@ def _df3(z):
     return 12 * z8 * z2 * z
 
 
-def _d2f3(z):
-    z2 = z * z
-    z4 = z2 * z2
-    z8 = z4 * z4
-    return 132 * z8 * z2
-
-
 def _f4(z):
     return (z * z - 4) * (z + 1.5) * (z - 0.5)
 
@@ -311,10 +270,6 @@ def _df4(z):
     return (2 * z * (z + 1.5) * (z - 0.5)
             + (z * z - 4) * (z - 0.5)
             + (z * z - 4) * (z + 1.5))
-
-
-def _d2f4(z):
-    return 12 * z * z + 6 * z - 9.5
 
 
 def _f5(z):
@@ -326,10 +281,6 @@ def _df5(z):
     return b * b * c * d + 2 * a * b * c * d + a * b * b * d + a * b * b * c
 
 
-def _d2f5(z):
-    return 20 * z ** 3 + 30 * z * z - 19.5 * z - 22.25
-
-
 def _f6(z):
     return np.sin(z)
 
@@ -338,20 +289,12 @@ def _df6(z):
     return np.cos(z)
 
 
-def _d2f6(z):
-    return -np.sin(z)
-
-
 def _f7(z):
     return (z - 1) ** 3 + 4 * (z - 1) ** 2 - 10
 
 
 def _df7(z):
     return 3 * (z - 1) ** 2 + 8 * (z - 1)
-
-
-def _d2f7(z):
-    return 6 * (z - 1) + 8
 
 
 def _f8(z):
@@ -364,10 +307,6 @@ def _fdf8(z):
     return s ** 2 - w ** 2 + 1, 2 * s * np.cos(w) - 2 * w
 
 
-def _d2f8(z):
-    return 2 * np.cos(2 * (z - 1.4)) - 2
-
-
 def _f9(z):
     return z * z - np.exp(z) - 3 * z + 2
 
@@ -375,10 +314,6 @@ def _f9(z):
 def _fdf9(z):
     e = np.exp(z)
     return z * z - e - 3 * z + 2, 2 * z - e - 3
-
-
-def _d2f9(z):
-    return 2 - np.exp(z)
 
 
 def _f10(z):
@@ -389,10 +324,6 @@ def _df10(z):
     return -np.sin(z - 0.75) - 1
 
 
-def _d2f10(z):
-    return -np.cos(z - 0.75)
-
-
 def _f11(z):
     return (z + 1) ** 3 - 1
 
@@ -401,20 +332,12 @@ def _df11(z):
     return 3 * (z + 1) ** 2
 
 
-def _d2f11(z):
-    return 6 * (z + 1)
-
-
 def _f12(z):
     return (z - 2) ** 3 - 10
 
 
 def _df12(z):
     return 3 * (z - 2) ** 2
-
-
-def _d2f12(z):
-    return 6 * (z - 2)
 
 
 def _f13(z):
@@ -440,11 +363,6 @@ def _fdf13(z):
     return f, eg - 2 * s * c - 3 * s
 
 
-def _d2f13(z):
-    u = z + 1.25
-    return np.exp(u * u) * (4 * u ** 3 + 6 * u) - 2 * np.cos(2 * u) - 3 * np.cos(u)
-
-
 def _f14(z):
     # continuous extension: the limit of z + z^2 sin(2/z) at 0 is 0
     z = np.asarray(z, dtype=np.complex128)
@@ -467,67 +385,67 @@ _S3 = 0.8660254037844386  # sqrt(3)/2 rounded to double
 
 _PROBLEM_LIST = [
     ScalarProblem(
-        "f1", _f1, _df1, _d2f1,
+        "f1", _f1, _df1,
         (1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j),
         "(x^2 - 1)(x^2 + 1)"),
     ScalarProblem(
-        "f2", _f2, _df2, _d2f2,
+        "f2", _f2, _df2,
         (1.0 + 0.0j, complex(-0.5, _S3), complex(-0.5, -_S3)),
         "x^3 - 1"),
     ScalarProblem(
-        "f3", _f3, _df3, _d2f3,
+        "f3", _f3, _df3,
         (1.0 + 0.0j, complex(_S3, 0.5), complex(0.5, _S3), 1.0j,
          complex(-0.5, _S3), complex(-_S3, 0.5), -1.0 + 0.0j,
          complex(-_S3, -0.5), complex(-0.5, -_S3), -1.0j,
          complex(0.5, -_S3), complex(_S3, -0.5)),
         "x^12 - 1"),
     ScalarProblem(
-        "f4", _f4, _df4, _d2f4,
+        "f4", _f4, _df4,
         (2.0 + 0.0j, -2.0 + 0.0j, -1.5 + 0.0j, 0.5 + 0.0j),
         "(x^2 - 4)(x + 1.5)(x - 0.5)"),
     ScalarProblem(
-        "f5", _f5, _df5, _d2f5,
+        "f5", _f5, _df5,
         (-2.0 + 0.0j, -1.5 + 0.0j, 0.5 + 0.0j, 2.0 + 0.0j),
         "(x + 2)(x + 1.5)^2(x - 0.5)(x - 2)"),
     ScalarProblem(
-        "f6", _f6, _df6, _d2f6,
+        "f6", _f6, _df6,
         (0.0 + 0.0j, complex(np.pi, 0.0), complex(-np.pi, 0.0)),
         "sin(x)"),
     ScalarProblem(
-        "f7", _f7, _df7, _d2f7,
+        "f7", _f7, _df7,
         (2.365230013414097 + 0.0j,
          complex(-1.6826150067070484, 0.358259359924043),
          complex(-1.6826150067070484, -0.358259359924043)),
         "(x - 1)^3 + 4(x - 1)^2 - 10"),
     ScalarProblem(
-        "f8", _f8, lambda z: _fdf8(z)[1], _d2f8,
+        "f8", _f8, lambda z: _fdf8(z)[1],
         (2.804491648215341 + 0.0j, -0.004491648215341226 + 0.0j),
         "sin(x - 1.4)^2 - (x - 1.4)^2 + 1", _fdf8),
     ScalarProblem(
-        "f9", _f9, lambda z: _fdf9(z)[1], _d2f9,
+        "f9", _f9, lambda z: _fdf9(z)[1],
         (0.2575302854398608 + 0.0j,),
         "x^2 - e^x - 3x + 2", _fdf9),
     ScalarProblem(
-        "f10", _f10, _df10, _d2f10,
+        "f10", _f10, _df10,
         (1.4890851332151607 + 0.0j,),
         "cos(x - 0.75) - x + 0.75"),
     ScalarProblem(
-        "f11", _f11, _df11, _d2f11,
+        "f11", _f11, _df11,
         (0.0 + 0.0j, complex(-1.5, _S3), complex(-1.5, -_S3)),
         "(x + 1)^3 - 1"),
     ScalarProblem(
-        "f12", _f12, _df12, _d2f12,
+        "f12", _f12, _df12,
         (4.154434690031883 + 0.0j,
          complex(0.9227826549840581, 1.865795172362064),
          complex(0.9227826549840581, -1.865795172362064)),
         "(x - 2)^3 - 10"),
     ScalarProblem(
-        "f13", _f13, lambda z: _fdf13(z)[1], _d2f13,
+        "f13", _f13, lambda z: _fdf13(z)[1],
         (-2.457647827130919 + 0.0j,),
         "(x + 1.25)e^((x + 1.25)^2) - sin(x + 1.25)^2 + 3cos(x + 1.25) + 5",
         _fdf13),
     ScalarProblem(
-        "f14", _f14, lambda z: _fdf14(z)[1], None,
+        "f14", _f14, lambda z: _fdf14(z)[1],
         (0.0 + 0.0j,),
         "x + x^2 sin(2/x)", _fdf14),
 ]
@@ -546,22 +464,3 @@ def get_problem(pid: str) -> ScalarProblem:
     except KeyError:
         raise UnknownProblem(f"unknown function id {pid!r}; have f1..f14") from None
 
-
-def make_affine_problem(a: complex = 1.0, b: complex = -1.0) -> ScalarProblem:
-    """f(x) = a*x + b with a != 0; one Newton step solves it exactly."""
-    a = complex(a)
-    b = complex(b)
-    if a == 0:
-        raise ValueError("slope must be nonzero")
-    root = -b / a
-
-    def ev(z):
-        return a * z + b
-
-    def dv(z):
-        return a + 0 * z
-
-    def d2(z):
-        return 0 * z
-
-    return ScalarProblem("affine", ev, dv, d2, (root,), "a*x + b")

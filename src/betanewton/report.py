@@ -112,22 +112,9 @@ def build_table2(
     rows = _build(TABLE2_MODES, grid, cfg, jobs, problems)
     for p, row in zip(problems, rows):
         for desc, sched in TABLE2_MODES:
-            hit = order_probe(p, sched, cfg, grid.re_coords(), grid.im_coords())
+            hit = order_probe(p, grid, sched, cfg)
             row.columns[("order", desc)] = hit[0].q_final if hit else None
     return rows
-
-
-def order_estimate_for(
-    p: ScalarProblem,
-    sched: BetaSchedule,
-    grid: GridSpec = GridSpec(),
-    cfg: IterationConfig = IterationConfig(),
-):
-    """First qualifying order estimate for one function and schedule.
-
-    Returns (OrderEstimate, start_point, IterationOutcome) or None.
-    """
-    return order_probe(p, sched, cfg, grid.re_coords(), grid.im_coords())
 
 
 def to_csv(rows: Sequence[TableRow]) -> str:

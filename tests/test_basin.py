@@ -27,9 +27,9 @@ from betanewton.core import (
     Status,
     get_problem,
     iterate,
-    make_affine_problem,
 )
 from betanewton.report import relative_times
+from conftest import affine_problem
 
 
 def _manual_map(labels, iters, n_roots, max_iter=50):
@@ -61,7 +61,7 @@ def test_grid_validation():
 # sweep
 
 def test_affine_sweep_every_cell_two_steps():
-    p = make_affine_problem(1.0, -1.0)
+    p = affine_problem(1.0, -1.0)
     grid = GridSpec(nx=40, ny=40)
     bmap = sweep(p, grid, BetaSchedule.fixed(0.5), IterationConfig())
     assert bmap.convergence_pct == 100.0
@@ -214,7 +214,7 @@ def test_entropy_rejects_incompatible_covering():
 
 
 def test_entropy_beta_sweep_curve():
-    p = make_affine_problem()
+    p = affine_problem()
     grid = GridSpec(nx=20, ny=20)
     curve = entropy_beta_sweep(p, grid, IterationConfig(), 0.0, 1.0, 0.5, box=10)
     assert [b for b, _ in curve] == [0.0, 0.5, 1.0]

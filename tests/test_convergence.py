@@ -11,8 +11,6 @@ import pytest
 from betanewton.basin import GridSpec
 from betanewton.convergence import (
     MIN_ORDER_ITERATIONS,
-    DegenerateRoot,
-    analytic_error_ratio,
     cube_root_problem,
     cube_root_window,
     estimate_order,
@@ -131,8 +129,7 @@ def test_final_subthreshold_displacement_dropped_at_noise_floor():
 
 def test_probe_f2_newton_order_two():
     p = get_problem("f2")
-    coords = np.linspace(-2, 2, 30)
-    hit = order_probe(p, BetaSchedule.fixed(0.0), IterationConfig(), coords, coords)
+    hit = order_probe(p, GridSpec(nx=30, ny=30), BetaSchedule.fixed(0.0), IterationConfig())
     assert hit is not None
     est, start, out = hit
     assert est.valid
@@ -143,18 +140,16 @@ def test_probe_f2_newton_order_two():
 
 def test_probe_is_deterministic():
     p = get_problem("f4")
-    coords = np.linspace(-2, 2, 25)
-    a = order_probe(p, BetaSchedule.fixed(1.0), IterationConfig(), coords, coords)
-    b = order_probe(p, BetaSchedule.fixed(1.0), IterationConfig(), coords, coords)
+    grid = GridSpec(nx=25, ny=25)
+    a = order_probe(p, grid, BetaSchedule.fixed(1.0), IterationConfig())
+    b = order_probe(p, grid, BetaSchedule.fixed(1.0), IterationConfig())
     assert a[1] == b[1]
     assert a[0] == b[0]
 
 
 def test_probe_annealing_prefers_real_axis():
     p = get_problem("f2")
-    re = np.linspace(-2, 2, 1000)
-    im = np.linspace(-2, 2, 1000)
-    hit = order_probe(p, BetaSchedule.annealing(), IterationConfig(), re, im)
+    hit = order_probe(p, GridSpec(nx=1000, ny=1000), BetaSchedule.annealing(), IterationConfig())
     assert hit is not None
     est, start, _ = hit
     assert start.imag == 0.0
@@ -164,8 +159,8 @@ def test_probe_annealing_prefers_real_axis():
 
 def test_probe_returns_none_when_nothing_qualifies():
     p = get_problem("f2")
-    hit = order_probe(p, BetaSchedule.fixed(0.0), IterationConfig(max_iter=3),
-                      np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))
+    hit = order_probe(p, GridSpec(nx=5, ny=5), BetaSchedule.fixed(0.0),
+                      IterationConfig(max_iter=3))
     assert hit is None
 
 
@@ -196,7 +191,7 @@ def test_probe_equals_unscreened_scalar_scan(nx, ny, max_iter):
     for p in list_problems():
         for sched in SCHEDULES.values():
             want = _scalar_scan(p, sched, cfg, re, im)
-            assert order_probe(p, sched, cfg, re, im) == want, (p.id, sched)
+            assert order_probe(p, grid, sched, cfg) == want, (p.id, sched)
             found += want is not None
     # every pair qualifies somewhere on these grids unless the budget is too short
     assert found == (0 if max_iter < MIN_ORDER_ITERATIONS
@@ -207,8 +202,7 @@ def test_probe_skips_traces_that_have_not_contracted():
     # f10 under annealing on 196x204 used to pick -1.5897, whose trace is
     # still wandering at its last steps, and report q = -88
     grid = GridSpec(nx=196, ny=204)
-    hit = order_probe(get_problem("f10"), BetaSchedule.annealing(), IterationConfig(),
-                      grid.re_coords(), grid.im_coords())
+    hit = order_probe(get_problem("f10"), grid, BetaSchedule.annealing(), IterationConfig())
     assert hit is not None
     est, start, _ = hit
     assert est.valid
@@ -222,8 +216,7 @@ def test_probe_reproduces_recorded_picks(size):
     grid = GridSpec(nx=nx, ny=ny)
     for p in list_problems():
         for desc, sched in SCHEDULES.items():
-            hit = order_probe(p, sched, IterationConfig(),
-                              grid.re_coords(), grid.im_coords())
+            hit = order_probe(p, grid, sched, IterationConfig())
             got = None if hit is None else {
                 "start": [hit[1].real, hit[1].imag], "q_final": repr(hit[0].q_final)}
             assert got == picks[p.id][desc], (size, p.id, desc)
@@ -304,24 +297,3 @@ def test_window_sharpness():
     for beta in (0.45, win.beta_min, 0.7):
         out = iterate(p, 1.0, BetaSchedule.fixed(beta), cfg)
         assert out.status is Status.CONVERGED, beta
-
-
-# ---------------------------------------------------------------------------
-# local error ratio near a simple root
-
-def test_analytic_error_ratio_values():
-    p = get_problem("f2")
-    assert analytic_error_ratio(p, 1.0, 0.0) == 1.0 + 0.0j
-    assert analytic_error_ratio(p, 1.0, 0.5) == 0.5 + 0.0j
-    assert analytic_error_ratio(p, 1.0, 1.0) == 0.0 + 0.0j
-
-
-def test_analytic_error_ratio_degenerate_root():
-    p = get_problem("f5")
-    with pytest.raises(DegenerateRoot):
-        analytic_error_ratio(p, -1.5, 0.0)
-
-
-def test_analytic_error_ratio_needs_second_derivative():
-    with pytest.raises(ValueError):
-        analytic_error_ratio(get_problem("f14"), 0.0, 0.0)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from betanewton.basin import GridSpec
-from betanewton.core import IterationConfig, get_problem, make_affine_problem
+from betanewton.core import IterationConfig, get_problem
 from betanewton.report import (
     TABLE1_BETAS,
     TABLE2_MODES,
@@ -19,12 +19,13 @@ from betanewton.report import (
     to_json,
     to_markdown,
 )
+from conftest import affine_problem
 
 _GRID = GridSpec(nx=24, ny=24)
 
 
 def test_table1_affine_row():
-    rows = build_table1(_GRID, problems=[make_affine_problem()])
+    rows = build_table1(_GRID, problems=[affine_problem()])
     assert len(rows) == 1
     row = rows[0]
     descs = [d for d, _ in TABLE1_BETAS]
@@ -67,7 +68,7 @@ def test_csv_round_trip_is_exact():
 
 
 def test_json_full_precision():
-    rows = build_table1(_GRID, problems=[make_affine_problem()])
+    rows = build_table1(_GRID, problems=[affine_problem()])
     data = json.loads(to_json(rows))
     assert data[0]["function"] == "affine"
     assert data[0]["columns"]["iterations:0"] == 2.0
