@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import colorsys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
@@ -85,7 +86,8 @@ class BasinMap:
 
     labels[i, j] is an index into catalog.roots, or -1 for cells that failed,
     timed out, or converged to nothing the catalog accepts.  max_iter is the
-    iteration budget the sweep ran with (used for image shading).
+    iteration budget the sweep ran with (used for image shading); a sweep
+    stores iter_counts in the narrowest unsigned type that holds it.
     """
 
     grid: GridSpec
@@ -161,10 +163,15 @@ def _assign_labels(
 ) -> np.ndarray:
     """Label converged endpoints against the catalog, growing it when needed.
 
-    The catalog is seeded from known roots; unmatched endpoints are clustered
-    serially in row-major first-seen order, so the result is independent of
-    how the sweep was partitioned.  A new root must satisfy the residual
-    bound and keep pairwise catalog distances above 2*match_tol.
+    Each endpoint within match_tol of a catalog root takes that root's
+    label.  The rest are clustered serially in row-major first-seen order:
+    the first founds a new root if it satisfies the residual bound and lies
+    more than 2*match_tol from every catalog root, and takes every remaining
+    endpoint within match_tol with it.  An endpoint is thus within match_tol
+    of at most one root, so labelling a grid chunk by chunk in row-major
+    order, with one catalog carried from chunk to chunk, gives the labels
+    and catalog of labelling it whole.  Only a distance that rounds to a tie
+    at exactly 2*match_tol could tell the two apart.
     """
     n = final.size
     labels = np.full(n, -1, np.int32)
@@ -189,7 +196,8 @@ def _assign_labels(
         while un.size:
             cand = complex(pts[un[0]])
             near_existing = any(abs(cand - r) <= 2 * tol for r in catalog.roots)
-            residual = abs(complex(np.complex128(p.eval(np.complex128(cand)))))
+            # numpy's abs: a residual too large for a float is inf, not an OverflowError
+            residual = np.abs(np.complex128(p.eval(np.complex128(cand))))
             if near_existing or not residual < _ROOT_RESIDUAL_TOL:
                 un = un[1:]
                 continue
@@ -253,44 +261,54 @@ def sweep(
 ) -> BasinMap:
     """Iterate every grid cell; returns the basin map.
 
-    jobs > 1 runs fixed-size row chunks on a thread pool; chunk boundaries
-    and all per-cell arithmetic are identical for every worker count, so the
-    output is too.  The result depends only on the arguments.
+    The grid runs in chunks of _CHUNK_ROWS rows; jobs > 1 runs them on a
+    thread pool while this thread labels each finished chunk in row order
+    and stores its labels and counts in the map.  Chunk boundaries and all
+    per-cell arithmetic are identical for every worker count, and chunked
+    labelling equals whole-grid labelling (see `_assign_labels`), so the
+    result depends only on the arguments.
+
+    Memory is known before the run: the map holds 4 bytes of label and
+    np.min_scalar_type(cfg.max_iter).itemsize bytes of count per cell, and
+    at most jobs + 1 chunks of _CHUNK_ROWS * ny cells are in flight at a
+    time (jobs in the kernel, one being labelled), each using at most 256
+    bytes per cell with the registered functions (220 measured at most),
+    plus a constant.
     """
     re = grid.re_coords()
     im = grid.im_coords()
-    n = grid.nx * grid.ny
-    status = np.empty(n, np.int8)
-    iters = np.empty(n, np.int32)
-    final = np.empty(n, np.complex128)
-
-    starts = list(range(0, grid.nx, _CHUNK_ROWS))
+    labels = np.empty((grid.nx, grid.ny), np.int32)
+    iter_counts = np.empty((grid.nx, grid.ny), np.min_scalar_type(cfg.max_iter))
+    catalog = RootCatalog(list(p.known_roots), 1e-6)
+    starts = range(0, grid.nx, _CHUNK_ROWS)
 
     def run_chunk(i0):
-        i1 = min(i0 + _CHUNK_ROWS, grid.nx)
-        z0 = _starts(re[i0:i1], im)
-        return i0 * grid.ny, (i1 - i0) * grid.ny, _sweep_chunk(p, z0, sched, cfg)
+        return _sweep_chunk(p, _starts(re[i0:i0 + _CHUNK_ROWS], im), sched, cfg)
+
+    def store(i0, result):
+        status, iters, final = result
+        rows = slice(i0, i0 + _CHUNK_ROWS)
+        labels[rows] = _assign_labels(p, status, final, catalog).reshape(-1, grid.ny)
+        iter_counts[rows] = iters.reshape(-1, grid.ny)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_chunk, starts))
+            # one chunk queued beyond the running ones keeps every worker
+            # busy while this thread labels
+            pending = deque()
+            for i0 in starts:
+                pending.append((i0, pool.submit(run_chunk, i0)))
+                if len(pending) > jobs:
+                    i, fut = pending.popleft()
+                    store(i, fut.result())
+            while pending:
+                i, fut = pending.popleft()
+                store(i, fut.result())
     else:
-        results = [run_chunk(i0) for i0 in starts]
-
-    for off, ln, (st, it, fi) in results:
-        status[off:off + ln] = st
-        iters[off:off + ln] = it
-        final[off:off + ln] = fi
-
-    catalog = RootCatalog(list(p.known_roots), 1e-6)
-    labels = _assign_labels(p, status, final, catalog)
-    return BasinMap(
-        grid=grid,
-        labels=labels.reshape(grid.nx, grid.ny),
-        iter_counts=iters.reshape(grid.nx, grid.ny),
-        catalog=catalog,
-        max_iter=cfg.max_iter,
-    )
+        for i0 in starts:
+            store(i0, run_chunk(i0))
+    return BasinMap(grid=grid, labels=labels, iter_counts=iter_counts,
+                    catalog=catalog, max_iter=cfg.max_iter)
 
 
 def basin_entropy(bmap: BasinMap, box: int = 20) -> float:
@@ -362,25 +380,34 @@ def render_ppm(bmap: BasinMap, palette: Optional[Sequence[Tuple[int, int, int]]]
 
     Hue comes from the root label (the last palette entry is reserved for
     divergent cells, drawn at full brightness); brightness falls linearly
-    from 1.0 at zero iterations to 0.25 at the sweep's max_iter.
+    from 1.0 at zero iterations to 0.25 at the sweep's max_iter.  Pixels are
+    looked up in a uint8 table of each palette colour at each count, a block
+    of _CHUNK_ROWS scanlines at a time, so memory beyond the 3-byte pixels
+    and the returned bytes is the table and one block.
     """
     k = len(bmap.catalog.roots)
     if palette is None:
         palette = default_palette(k)
     if len(palette) < k + 1:
         raise ValueError(f"palette needs at least {k + 1} entries, got {len(palette)}")
-    pal = np.asarray(palette, dtype=np.float64)
+    m = bmap.max_iter
+    # shade[c, n]: palette colour c after n iterations, the same rounding as
+    # shading each pixel; divergent cells take the last colour's n = 0 entry
+    bright = 1.0 - 0.75 * np.arange(m + 1) / max(m, 1)
+    shade = np.rint(np.asarray(palette, dtype=np.float64)[:, None, :]
+                    * bright[None, :, None]).astype(np.uint8)
+    nx, ny = bmap.grid.nx, bmap.grid.ny
+    img = np.empty((ny, nx, 3), np.uint8)
     # image row 0 is the top scanline: largest imaginary part
     lab = bmap.labels[:, ::-1].T
     cnt = bmap.iter_counts[:, ::-1].T
-    divergent = lab < 0
-    color_idx = np.where(divergent, len(palette) - 1, lab)
-    rgb = pal[color_idx]
-    bright = 1.0 - 0.75 * np.minimum(cnt, bmap.max_iter) / max(bmap.max_iter, 1)
-    bright = np.where(divergent, 1.0, bright)
-    img = np.rint(rgb * bright[:, :, None]).astype(np.uint8)
-    header = f"P6\n{bmap.grid.nx} {bmap.grid.ny}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    for r in range(0, ny, _CHUNK_ROWS):
+        rows = slice(r, r + _CHUNK_ROWS)
+        divergent = lab[rows] < 0
+        img[rows] = shade[np.where(divergent, len(palette) - 1, lab[rows]),
+                          np.where(divergent, 0, np.minimum(cnt[rows], m))]
+    header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
+    return b"".join((header, img))
 
 
 def basin_map_to_json(bmap: BasinMap) -> dict:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import basin, convergence, core, multivariate, report
+from . import basin, convergence, core, report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -168,9 +168,8 @@ def _cmd_order(args) -> int:
             if hit is None:
                 w.writerow([p.id, sched.mode, beta_txt, "", "false"])
             else:
-                est = hit[0]
-                w.writerow([p.id, sched.mode, beta_txt, repr(est.q_final),
-                            "true" if est.valid else "false"])
+                # order_probe returns only valid estimates
+                w.writerow([p.id, sched.mode, beta_txt, repr(hit[0].q_final), "true"])
     _emit(args, buf.getvalue())
     return EXIT_OK
 
@@ -196,9 +195,17 @@ def _cmd_cuberoot(args) -> int:
 
 
 def _cmd_kuramoto(args) -> int:
+    # imported here: multivariate loads scipy, which no other command needs
+    from . import multivariate
+
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            sys_obj = multivariate.kuramoto_from_json(fh.read())
+            text = fh.read()
+        try:
+            sys_obj = multivariate.kuramoto_from_json(text)
+        except multivariate.MalformedSystem as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_SYSTEM
         emitted_system = None
     elif args.random:
         if args.seed is None:
@@ -401,9 +408,6 @@ def main(argv: Optional[list] = None) -> int:
     except core.UnknownProblem as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_UNKNOWN_FUNCTION
-    except multivariate.MalformedSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SYSTEM
     except basin.IncompatibleCovering as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_COVERING

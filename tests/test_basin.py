@@ -1,6 +1,7 @@
 """Unit tests for grid sweeps, root cataloging, entropy, and rendering."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,6 +123,35 @@ def test_catalog_growth_is_clean():
     assert dist.min() > 2 * bmap.catalog.match_tol
     assert bmap.labels.min() >= -1
     assert bmap.labels.max() < len(roots)
+
+
+def test_overflowing_residual_rejects_the_endpoint():
+    # one cell converges near 98 + 356j, where each part of f13 is about
+    # 1.7e308: the residual's modulus overflows, so the endpoint is no root
+    grid = GridSpec(1.3761467889908259, 1.3771467889908259,
+                    -0.029498525073746285, -0.028498525073746285, 2, 2)
+    bmap = sweep(get_problem("f13"), grid, BetaSchedule.fixed(1.0))
+    assert bmap.iter_counts[0, 0] < bmap.max_iter
+    assert (bmap.labels == -1).all()
+    assert len(bmap.catalog.roots) == len(get_problem("f13").known_roots)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_memory_bound(jobs):
+    # the bound of the sweep docstring, on ten chunks of the functions whose
+    # kernel uses the most memory per cell
+    grid = GridSpec(nx=10 * basin._CHUNK_ROWS, ny=50)
+    chunk_cells = basin._CHUNK_ROWS * grid.ny
+    for fid in ("f13", "f14"):
+        tracemalloc.start()
+        try:
+            bmap = sweep(get_problem(fid), grid, BetaSchedule.annealing(), IterationConfig(), jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bmap.iter_counts.dtype == np.uint8
+        cells = grid.nx * grid.ny
+        assert peak <= cells * (4 + 1) + (jobs + 1) * chunk_cells * 256, fid
 
 
 def test_conjugate_symmetric_functions_give_mirror_basins():

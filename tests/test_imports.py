@@ -1,15 +1,20 @@
-"""Every name a `betanewton` module imports is used, and every export is
-used by the package itself.
+"""Every name a `betanewton` module imports is used, every export is used
+by the package itself, and importing the CLI loads no scipy.
 
 A standard-library stand-in for a linter's unused-import rule: each module
 is parsed with `ast`, and a name counts as used when it is read anywhere in
 the module or listed in its `__all__`.  The public-surface rule parses the
-package the same way: `__all__` lists exactly the names `__init__` imports,
-and each of them is read, as a name or an attribute, in some module other
-than `__init__`, so no export serves the tests alone.
+package the same way: `__all__` lists exactly the names `__init__` imports
+or serves lazily (the strings of its `_MULTIVARIATE` tuple, which its
+`__getattr__` serves on first use), and each of them is read, as a name or
+an attribute, in some module other than `__init__`, so no export serves the
+tests alone.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import betanewton
@@ -55,14 +60,17 @@ def test_no_unused_imports():
 
 
 def _exports(source: str) -> tuple:
-    """(names the module imports, names listed in its __all__)."""
+    """(names the module imports or serves lazily, names listed in its __all__)."""
     imported, listed = [], []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [alias.asname or alias.name for alias in node.names]
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            listed += ast.literal_eval(node.value)
+        elif isinstance(node, ast.Assign):
+            targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            if "__all__" in targets:
+                listed += ast.literal_eval(node.value)
+            elif "_MULTIVARIATE" in targets:
+                imported += ast.literal_eval(node.value)
     return imported, listed
 
 
@@ -90,12 +98,15 @@ def surface_faults(init_source: str, module_sources: list) -> list:
 
 def test_surface_scanner_finds_faults():
     init = ("from .core import iterate, helper, extra\n"
-            "__all__ = ['iterate', 'helper', 'stale']\n")
-    core = "def run(p):\n    return iterate(core.helper(p))\n"
+            "_MULTIVARIATE = ('solve', 'unread', 'hidden')\n"
+            "__all__ = ['iterate', 'helper', 'stale', 'solve', 'unread']\n")
+    core = "def run(p):\n    return iterate(core.helper(multivariate.solve(p)))\n"
     assert surface_faults(init, [core]) == [
         "extra: imported, not in __all__",
+        "hidden: imported, not in __all__",
         "stale: in __all__, not imported",
         "stale: exported, never read in the package",
+        "unread: exported, never read in the package",
     ]
 
 
@@ -103,3 +114,17 @@ def test_public_surface_is_used_by_the_package():
     modules = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
                if path.name != "__init__.py"]
     assert surface_faults((SRC / "__init__.py").read_text(encoding="utf-8"), modules) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this one has scipy loaded by other tests
+    code = ("import sys, betanewton, betanewton.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from betanewton import multivariate\n"
+            "print(all(getattr(betanewton, n) is getattr(multivariate, n)\n"
+            "          for n in betanewton._MULTIVARIATE))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
