@@ -10,9 +10,6 @@ cube-root singularity, and a dense multivariate variant applied to
 Kuramoto-style phase locking.
 """
 
-import importlib.util
-import sys
-
 from .core import (
     ANNEALING,
     FIXED,
@@ -55,47 +52,23 @@ from .report import (
     to_json,
     to_markdown,
 )
-
-__version__ = "0.1.0"
-
-
-def _lazy_submodule(name: str):
-    """Register betanewton.<name> in sys.modules; its code runs on first attribute use."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# multivariate imports scipy, which only the Kuramoto solver needs.  It is
-# registered but not run, and the package serves its names through
-# __getattr__, so importing the package or its CLI loads no scipy.
-multivariate = _lazy_submodule("multivariate")
-
-_MULTIVARIATE = (
-    "KuramotoSystem",
-    "MalformedSystem",
-    "SyncSolution",
-    "VectorProblem",
-    "build_kuramoto_problem",
-    "kuramoto_from_json",
-    "kuramoto_to_json",
-    "omega_from_phases",
-    "random_kuramoto",
-    "rotor_velocities",
-    "solve_sync",
-    "sync_solution_to_json",
-    "vector_extended_step",
+from .multivariate import (
+    KuramotoSystem,
+    MalformedSystem,
+    SyncSolution,
+    VectorProblem,
+    build_kuramoto_problem,
+    kuramoto_from_json,
+    kuramoto_to_json,
+    omega_from_phases,
+    random_kuramoto,
+    rotor_velocities,
+    solve_sync,
+    sync_solution_to_json,
+    vector_extended_step,
 )
 
-
-def __getattr__(name):
-    if name in _MULTIVARIATE:
-        return getattr(multivariate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__version__ = "0.1.0"
 
 __all__ = [
     "ANNEALING",

@@ -14,7 +14,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -375,26 +375,23 @@ def default_palette(n: int) -> List[Tuple[int, int, int]]:
     return pal
 
 
-def render_ppm(bmap: BasinMap, palette: Optional[Sequence[Tuple[int, int, int]]] = None) -> bytes:
+def render_ppm(bmap: BasinMap) -> bytes:
     """Binary PPM (P6) of the basin map; byte-exact for identical inputs.
 
-    Hue comes from the root label (the last palette entry is reserved for
-    divergent cells, drawn at full brightness); brightness falls linearly
-    from 1.0 at zero iterations to 0.25 at the sweep's max_iter.  Pixels are
-    looked up in a uint8 table of each palette colour at each count, a block
-    of _CHUNK_ROWS scanlines at a time, so memory beyond the 3-byte pixels
-    and the returned bytes is the table and one block.
+    Hue comes from the root label through `default_palette` (its last entry
+    is reserved for divergent cells, drawn at full brightness); brightness
+    falls linearly from 1.0 at zero iterations to 0.25 at the sweep's
+    max_iter.  Pixels are looked up in a uint8 table of each palette colour
+    at each count, a block of _CHUNK_ROWS scanlines at a time, so memory
+    beyond the 3-byte pixels and the returned bytes is the table and one
+    block.
     """
     k = len(bmap.catalog.roots)
-    if palette is None:
-        palette = default_palette(k)
-    if len(palette) < k + 1:
-        raise ValueError(f"palette needs at least {k + 1} entries, got {len(palette)}")
     m = bmap.max_iter
     # shade[c, n]: palette colour c after n iterations, the same rounding as
     # shading each pixel; divergent cells take the last colour's n = 0 entry
     bright = 1.0 - 0.75 * np.arange(m + 1) / max(m, 1)
-    shade = np.rint(np.asarray(palette, dtype=np.float64)[:, None, :]
+    shade = np.rint(np.asarray(default_palette(k), dtype=np.float64)[:, None, :]
                     * bright[None, :, None]).astype(np.uint8)
     nx, ny = bmap.grid.nx, bmap.grid.ny
     img = np.empty((ny, nx, 3), np.uint8)
@@ -404,7 +401,7 @@ def render_ppm(bmap: BasinMap, palette: Optional[Sequence[Tuple[int, int, int]]]
     for r in range(0, ny, _CHUNK_ROWS):
         rows = slice(r, r + _CHUNK_ROWS)
         divergent = lab[rows] < 0
-        img[rows] = shade[np.where(divergent, len(palette) - 1, lab[rows]),
+        img[rows] = shade[np.where(divergent, k, lab[rows]),
                           np.where(divergent, 0, np.minimum(cnt[rows], m))]
     header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
     return b"".join((header, img))

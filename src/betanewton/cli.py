@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import basin, convergence, core, report
+from . import basin, convergence, core, multivariate, report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -87,7 +87,10 @@ class SystemExit2(Exception):
 
 
 def _config(args) -> core.IterationConfig:
-    return core.IterationConfig(epsilon=args.eps, max_iter=args.max_iter)
+    try:
+        return core.IterationConfig(epsilon=args.eps, max_iter=args.max_iter)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
 
 
 def _table_output(args, rows) -> str:
@@ -98,14 +101,8 @@ def _table_output(args, rows) -> str:
     return report.to_markdown(rows)
 
 
-def _cmd_table1(args) -> int:
-    rows = report.build_table1(args.grid, _config(args), args.jobs)
-    _emit(args, _table_output(args, rows))
-    return EXIT_OK
-
-
-def _cmd_table2(args) -> int:
-    rows = report.build_table2(args.grid, _config(args), args.jobs)
+def _cmd_table(args) -> int:
+    rows = args.build(args.grid, _config(args), args.jobs)
     _emit(args, _table_output(args, rows))
     return EXIT_OK
 
@@ -195,17 +192,9 @@ def _cmd_cuberoot(args) -> int:
 
 
 def _cmd_kuramoto(args) -> int:
-    # imported here: multivariate loads scipy, which no other command needs
-    from . import multivariate
-
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            sys_obj = multivariate.kuramoto_from_json(text)
-        except multivariate.MalformedSystem as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_SYSTEM
+            sys_obj = multivariate.kuramoto_from_json(fh.read())
         emitted_system = None
     elif args.random:
         if args.seed is None:
@@ -292,18 +281,25 @@ def _apply_config_file(parser, argv):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every command takes --out and --config, and only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=_parse_grid, default=basin.GridSpec(),
-                        help="grid as NXxNY (default 1000x1000)")
-    common.add_argument("--eps", type=float, default=1e-14,
-                        help="step-displacement stopping threshold")
-    common.add_argument("--max-iter", type=int, default=50,
-                        help="iteration budget per starting point")
-    common.add_argument("--jobs", type=int, default=None,
-                        help=f"sweep worker count (default: ${_JOBS_ENV} or cpu count); "
-                             "results are identical for any value")
     common.add_argument("--out", help="output path (atomic write); default stdout")
     common.add_argument("--config", help="JSON file with default flag values")
+
+    stop = argparse.ArgumentParser(add_help=False)
+    stop.add_argument("--eps", type=float, default=1e-14,
+                      help="step-displacement stopping threshold")
+    stop.add_argument("--max-iter", type=int, default=50,
+                      help="iteration budget per starting point")
+
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=_parse_grid, default=basin.GridSpec(),
+                      help="grid as NXxNY (default 1000x1000)")
+
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=_default_jobs(),
+                      help=f"sweep worker count (default: ${_JOBS_ENV} or cpu count); "
+                           "results are identical for any value")
 
     sched = argparse.ArgumentParser(add_help=False)
     sched.add_argument("--schedule", choices=["fixed", "anneal"], default="fixed")
@@ -316,23 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("table1", parents=[common],
+    sp = sub.add_parser("table1", parents=[common, stop, grid, jobs],
                         help="iteration/convergence/time table at five fixed betas")
     sp.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    sp.set_defaults(func=_cmd_table1)
+    sp.set_defaults(func=_cmd_table, build=report.build_table1)
 
-    sp = sub.add_parser("table2", parents=[common],
+    sp = sub.add_parser("table2", parents=[common, stop, grid, jobs],
                         help="beta 0 / beta 1 / annealing comparison with orders")
     sp.add_argument("--format", choices=["md", "csv", "json"], default="md")
-    sp.set_defaults(func=_cmd_table2)
+    sp.set_defaults(func=_cmd_table, build=report.build_table2)
 
-    sp = sub.add_parser("fractal", parents=[common, sched],
+    sp = sub.add_parser("fractal", parents=[common, stop, grid, jobs, sched],
                         help="render a basin-of-attraction image")
     sp.add_argument("--function", required=True)
     sp.add_argument("--format", choices=["ppm", "json"], default="ppm")
     sp.set_defaults(func=_cmd_fractal)
 
-    sp = sub.add_parser("entropy", parents=[common, sched],
+    sp = sub.add_parser("entropy", parents=[common, stop, grid, jobs, sched],
                         help="basin entropy of one sweep or a beta sweep")
     sp.add_argument("--function", required=True)
     sp.add_argument("--box", type=int, default=20)
@@ -340,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="curve over fixed betas instead of a single run")
     sp.set_defaults(func=_cmd_entropy)
 
-    sp = sub.add_parser("order", parents=[common, sched],
+    sp = sub.add_parser("order", parents=[common, stop, grid, sched],
                         help="empirical convergence orders as CSV")
     sp.add_argument("--function", help="restrict to one function id")
     sp.set_defaults(func=_cmd_order)
@@ -349,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="analytic contraction window for x^(1/3)")
     sp.set_defaults(func=_cmd_cuberoot)
 
-    sp = sub.add_parser("kuramoto", parents=[common, sched],
+    sp = sub.add_parser("kuramoto", parents=[common, stop, sched],
                         help="solve a phase-locking problem")
     sp.add_argument("--input", help="system JSON file")
     sp.add_argument("--random", type=int, metavar="N",
@@ -398,8 +394,6 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if getattr(args, "jobs", None) is None:
-        args.jobs = _default_jobs()
     try:
         return args.func(args)
     except SystemExit2 as exc:
@@ -411,6 +405,9 @@ def main(argv: Optional[list] = None) -> int:
     except basin.IncompatibleCovering as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_COVERING
+    except multivariate.MalformedSystem as exc:  # a ValueError: caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_SYSTEM
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -198,29 +198,27 @@ def iterate(
     z = np.complex128(x0)
     trace = [complex(z)] if cfg.trace else None
     anneal = sched.mode == ANNEALING
-    evals_f = 0
-    evals_fp = 0
+    status = Status.MAX_ITERATIONS
+    iterations = cfg.max_iter
     with np.errstate(all="ignore"):
         for step in range(1, cfg.max_iter + 1):
             ok, znext = _update(p, z, anneal, sched.beta)
             znext = np.complex128(znext)
             if not (ok and math.isfinite(znext.real) and math.isfinite(znext.imag)):
-                return IterationOutcome(
-                    Status.NUMERICAL_FAILURE, complex(z), step - 1,
-                    tuple(trace) if cfg.trace else None, evals_f, evals_fp)
-            evals_f += 2
-            evals_fp += 2 if anneal else 1
+                status = Status.NUMERICAL_FAILURE
+                iterations = step - 1
+                break
             if cfg.trace:
                 trace.append(complex(znext))
             disp = abs(znext - z)
             z = znext
             if disp < cfg.epsilon:
-                return IterationOutcome(
-                    Status.CONVERGED, complex(z), step,
-                    tuple(trace) if cfg.trace else None, evals_f, evals_fp)
-    return IterationOutcome(
-        Status.MAX_ITERATIONS, complex(z), cfg.max_iter,
-        tuple(trace) if cfg.trace else None, evals_f, evals_fp)
+                status = Status.CONVERGED
+                iterations = step
+                break
+    return IterationOutcome(status, complex(z), iterations,
+                            tuple(trace) if cfg.trace else None,
+                            2 * iterations, (2 if anneal else 1) * iterations)
 
 
 # ---------------------------------------------------------------------------

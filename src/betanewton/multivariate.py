@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 from .core import ANNEALING, BetaSchedule, IterationConfig, Status, _anneal_weight
 
@@ -106,12 +105,17 @@ def _sq_norm(J: np.ndarray) -> float:
 
 
 def _factor(J: np.ndarray):
-    """LU-factor J and estimate its condition; None when untrustworthy.
+    """LU-factor J and estimate its condition; a solve function, or None.
 
-    J is rejected when it has a non-finite entry, when LAPACK fails, or when
-    the reciprocal 1-norm condition estimate falls below _RCOND_MIN.  A
+    The returned function maps b to the solution x of J x = b.  J is
+    rejected (None) when it has a non-finite entry, when LAPACK fails, or
+    when the reciprocal 1-norm condition estimate falls below _RCOND_MIN.  A
     Fortran-ordered J is overwritten by its factors; any other is copied.
+    scipy is imported here, at the package's only LAPACK call, so importing
+    betanewton loads no scipy until the first factorization.
     """
+    from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+
     if not np.isfinite(J).all():
         return None
     anorm = lapack.dlange("1", J) if J.size else 0.0
@@ -125,7 +129,7 @@ def _factor(J: np.ndarray):
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
         return None
-    return lu, piv
+    return lambda b: lu_solve((lu, piv), b, check_finite=False)
 
 
 def vector_extended_step(vp: VectorProblem, phi: np.ndarray, sched: BetaSchedule) -> np.ndarray:
@@ -144,13 +148,13 @@ def vector_extended_step(vp: VectorProblem, phi: np.ndarray, sched: BetaSchedule
     J = vp.jacobian(phi)
     anneal = sched.mode == ANNEALING
     a = _sq_norm(J) if anneal else None
-    factors = _factor(J)
-    if factors is None:
+    solve = _factor(J)
+    if solve is None:
         return np.full_like(phi, np.nan)
-    d1 = lu_solve(factors, vp.residual(phi), check_finite=False)
+    d1 = solve(vp.residual(phi))
     phi_hat = phi - d1
-    d2 = lu_solve(factors, vp.residual(phi_hat), check_finite=False)
-    del J, factors
+    d2 = solve(vp.residual(phi_hat))
+    del J, solve
     beta = _anneal_weight(a, _sq_norm(vp.jacobian(phi_hat))) if anneal else sched.beta
     return phi_hat - beta * d2
 

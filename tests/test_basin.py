@@ -326,22 +326,17 @@ def test_relative_time_is_iteration_ratio_times_step_cost(monkeypatch):
 # ---------------------------------------------------------------------------
 # rendering
 
-def test_render_ppm_exact_bytes():
+def test_render_ppm_exact_bytes(monkeypatch):
     bmap = _manual_map([[0, 1], [-1, 0]], [[0, 25], [3, 50]], 2, max_iter=50)
     palette = [(255, 0, 0), (0, 255, 0), (40, 40, 40)]
-    data = render_ppm(bmap, palette)
+    monkeypatch.setattr(basin, "default_palette", lambda n: palette)
+    data = render_ppm(bmap)
     header = b"P6\n2 2\n255\n"
     # top scanline is the largest imaginary part; divergent stays full bright
     pixels = bytes([0, 159, 0, 64, 0, 0,
                     255, 0, 0, 40, 40, 40])
     assert data == header + pixels
-    assert render_ppm(bmap, palette) == data
-
-
-def test_render_ppm_rejects_short_palette():
-    bmap = _manual_map([[0, 1], [1, 0]], [[1, 1], [1, 1]], 2)
-    with pytest.raises(ValueError):
-        render_ppm(bmap, [(255, 0, 0), (0, 255, 0)])
+    assert render_ppm(bmap) == data
 
 
 def test_default_palette_has_divergent_entry():

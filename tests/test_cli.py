@@ -46,8 +46,7 @@ def test_cuberoot_report(capsys):
 
 
 def test_order_csv_modes():
-    rc, recs = _run_csv(["order", "--function", "f2", "--grid", "40x40",
-                         "--jobs", "1"])
+    rc, recs = _run_csv(["order", "--function", "f2", "--grid", "40x40"])
     assert rc == 0
     assert [r["beta_mode"] for r in recs] == ["fixed", "fixed", "annealing"]
     assert [r["beta"] for r in recs] == ["0.0", "1.0", ""]
@@ -55,7 +54,7 @@ def test_order_csv_modes():
     qs = [float(r["q_final"]) for r in recs]
     assert abs(qs[0] - 2.0) < 0.2 and abs(qs[1] - 3.0) < 0.3
     rc, recs = _run_csv(["order", "--function", "f2", "--grid", "40x40",
-                         "--beta", "0.5", "--jobs", "1"])
+                         "--beta", "0.5"])
     assert rc == 0
     assert len(recs) == 1 and recs[0]["beta"] == "0.5"
 
@@ -179,6 +178,11 @@ def test_usage_errors_after_parsing(capsys):
     assert main(["fractal", "--function", "f2", "--grid", "8x8",
                  "--schedule", "fixed"]) == 2  # fixed needs --beta
     capsys.readouterr()
+    # stopping rules IterationConfig rejects
+    for flag, value in (("--max-iter", "0"), ("--eps", "0"), ("--eps", "nan")):
+        assert main(["fractal", "--function", "f2", "--grid", "4x4", "--schedule",
+                     "fixed", "--beta", "0", flag, value]) == 2, (flag, value)
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_nonfinite_beta_sweep_is_runtime_error(capsys):
@@ -198,6 +202,12 @@ def test_argparse_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # a command takes only the flags it reads
+    for argv in (["cuberoot", "--max-iter", "0"], ["manifest", "--grid", "8x8"],
+                 ["kuramoto", "--jobs", "1"], ["order", "--jobs", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_missing_config_file_is_runtime_error(tmp_path, capsys):
@@ -270,3 +280,10 @@ def test_config_file_rejects_junk(tmp_path, capsys):
         cfg.write_text(json.dumps(values))
         assert main(["table1", "--jobs", "1", "--config", str(cfg)]) == 2, values
         assert "bad config value" in capsys.readouterr().err
+    # stopping rules are checked as the flags are, when the command reads them
+    for values in ({"max-iter": 0}, {"eps": 0}, {"eps": "nan"}):
+        cfg.write_text(json.dumps(values))
+        assert main(["table1", "--grid", "4x4", "--jobs", "1", "--config", str(cfg)]) == 2, values
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["cuberoot", "--config", str(cfg)]) == 0, values
+        capsys.readouterr()

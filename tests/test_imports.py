@@ -1,14 +1,12 @@
 """Every name a `betanewton` module imports is used, every export is used
-by the package itself, and importing the CLI loads no scipy.
+by the package itself, and scipy loads only at the first LU factorization.
 
 A standard-library stand-in for a linter's unused-import rule: each module
 is parsed with `ast`, and a name counts as used when it is read anywhere in
 the module or listed in its `__all__`.  The public-surface rule parses the
-package the same way: `__all__` lists exactly the names `__init__` imports
-or serves lazily (the strings of its `_MULTIVARIATE` tuple, which its
-`__getattr__` serves on first use), and each of them is read, as a name or
-an attribute, in some module other than `__init__`, so no export serves the
-tests alone.
+package the same way: `__all__` lists exactly the names `__init__` imports,
+and each of them is read, as a name or an attribute, in some module other
+than `__init__`, so no export serves the tests alone.
 """
 
 import ast
@@ -60,17 +58,14 @@ def test_no_unused_imports():
 
 
 def _exports(source: str) -> tuple:
-    """(names the module imports or serves lazily, names listed in its __all__)."""
+    """(names the module imports, names listed in its __all__)."""
     imported, listed = [], []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [alias.asname or alias.name for alias in node.names]
-        elif isinstance(node, ast.Assign):
-            targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
-            if "__all__" in targets:
-                listed += ast.literal_eval(node.value)
-            elif "_MULTIVARIATE" in targets:
-                imported += ast.literal_eval(node.value)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            listed += ast.literal_eval(node.value)
     return imported, listed
 
 
@@ -98,7 +93,7 @@ def surface_faults(init_source: str, module_sources: list) -> list:
 
 def test_surface_scanner_finds_faults():
     init = ("from .core import iterate, helper, extra\n"
-            "_MULTIVARIATE = ('solve', 'unread', 'hidden')\n"
+            "from .multivariate import solve, unread, hidden\n"
             "__all__ = ['iterate', 'helper', 'stale', 'solve', 'unread']\n")
     core = "def run(p):\n    return iterate(core.helper(multivariate.solve(p)))\n"
     assert surface_faults(init, [core]) == [
@@ -116,15 +111,26 @@ def test_public_surface_is_used_by_the_package():
     assert surface_faults((SRC / "__init__.py").read_text(encoding="utf-8"), modules) == []
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh interpreter: this one has scipy loaded by other tests
-    code = ("import sys, betanewton, betanewton.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "from betanewton import multivariate\n"
-            "print(all(getattr(betanewton, n) is getattr(multivariate, n)\n"
-            "          for n in betanewton._MULTIVARIATE))\n")
+_SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+
+
+def _fresh_stdout(code: str) -> list:
+    """Output lines of code run in a fresh interpreter: this one has scipy loaded."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    return out.stdout.splitlines()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _fresh_stdout("import sys, betanewton, betanewton.cli\n" + _SCIPY_MODULES) == ["[]"]
+
+
+def test_scipy_loads_at_the_first_factorization():
+    lines = _fresh_stdout("import sys, betanewton.cli\n"
+                          "from betanewton import *\n"
+                          + _SCIPY_MODULES +
+                          "solve_sync(random_kuramoto(3, seed=0))\n"
+                          "print('scipy.linalg' in sys.modules)\n")
+    assert lines == ["[]", "True"]
