@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -48,6 +49,28 @@ def _parse_grid(text: str) -> basin.GridSpec:
         return basin.GridSpec(nx=nx, ny=ny)
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must look like 1000x1000, got {text!r}")
+
+
+def _checked(convert, ok, expected: str):
+    """An argparse `type` that converts a flag's text and checks the value.
+
+    `--config` values go through the same function, so a file and a flag
+    reject the same values, both as usage errors.
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_jobs_count = _checked(int, lambda n: n >= 1, "an integer of at least 1")
+_rotor_count = _checked(int, lambda n: n >= 2, "an integer of at least 2")
+_coupling = _checked(float, lambda k: math.isfinite(k) and k > 0, "a finite positive number")
 
 
 def _write_atomic(path: str, data) -> None:
@@ -196,7 +219,7 @@ def _cmd_kuramoto(args) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             sys_obj = multivariate.kuramoto_from_json(fh.read())
         emitted_system = None
-    elif args.random:
+    elif args.random is not None:
         if args.seed is None:
             raise SystemExit2("--random needs --seed for reproducibility")
         sys_obj = multivariate.random_kuramoto(args.random, args.seed, args.kappa)
@@ -297,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="grid as NXxNY (default 1000x1000)")
 
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=_default_jobs(),
+    jobs.add_argument("--jobs", type=_jobs_count, default=_default_jobs(),
                       help=f"sweep worker count (default: ${_JOBS_ENV} or cpu count); "
                            "results are identical for any value")
 
@@ -348,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("kuramoto", parents=[common, stop, sched],
                         help="solve a phase-locking problem")
     sp.add_argument("--input", help="system JSON file")
-    sp.add_argument("--random", type=int, metavar="N",
+    sp.add_argument("--random", type=_rotor_count, metavar="N",
                     help="generate a random N-rotor system")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--kappa", type=float, default=1.0)
+    sp.add_argument("--kappa", type=_coupling, default=1.0)
     sp.add_argument("--phi0", help="comma-separated initial reduced phases")
     sp.set_defaults(func=_cmd_kuramoto)
 

@@ -24,10 +24,22 @@ holds one N x N array besides gamma, psi, A and B.  A rejected Jacobian
 `rotor_velocities` stays on the direct N x N sine sum, sharing no formula
 with the residual, so it remains an independent cross-check of a
 converged state.
+
+LAPACK runs on one thread, for the whole process: the first `_factor` call
+sets the OpenBLAS behind scipy's LAPACK to one thread.  With a second
+thread, three things went wrong.  OpenBLAS's idle worker spun through the
+numpy phases between LU calls, so a solve used about twice its wall time in
+CPU.  The LU factors, and so the phases, depended in their last bits on the
+thread count.  And on a busy two-core machine a two-thread factorization at
+N = 299 could stall for 160 ms, where it usually takes about 1 ms.  The
+numpy phases make no BLAS call, so this is the only thread count to set.
+One thread costs at most about 8 ms more per LU at N = 1199 (about 30 ms
+against 22-30 ms with two threads), and nothing at N = 299 or 599.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -104,6 +116,31 @@ def _sq_norm(J: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", J, J))
 
 
+@functools.cache
+def _one_lapack_thread() -> None:
+    """Run the OpenBLAS behind scipy's LAPACK on one thread, process-wide.
+
+    Opens scipy's own LAPACK extension with ctypes, so that symbol lookup
+    searches its dependencies and finds exactly the OpenBLAS it links, and
+    calls that library's thread-count setter with 1.  A scipy built on
+    another BLAS (MKL, Accelerate) exports none of these names, and then
+    this does nothing.  Cached: it runs once per process.
+    """
+    import ctypes
+
+    from scipy.linalg import _flapack
+
+    lib = ctypes.CDLL(_flapack.__file__)
+    for name in ("scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                 "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return
+
+
 def _factor(J: np.ndarray):
     """LU-factor J and estimate its condition; a solve function, or None.
 
@@ -112,9 +149,12 @@ def _factor(J: np.ndarray):
     when the reciprocal 1-norm condition estimate falls below _RCOND_MIN.  A
     Fortran-ordered J is overwritten by its factors; any other is copied.
     scipy is imported here, at the package's only LAPACK call, so importing
-    betanewton loads no scipy until the first factorization.
+    betanewton loads no scipy until the first factorization, and the first
+    call pins LAPACK to one thread (`_one_lapack_thread`).
     """
     from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+
+    _one_lapack_thread()
 
     if not np.isfinite(J).all():
         return None

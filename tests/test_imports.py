@@ -10,12 +10,10 @@ than `__init__`, so no export serves the tests alone.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import betanewton
+from conftest import fresh_stdout as _fresh_stdout
 
 SRC = Path(betanewton.__file__).parent
 
@@ -112,15 +110,6 @@ def test_public_surface_is_used_by_the_package():
 
 
 _SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-
-
-def _fresh_stdout(code: str) -> list:
-    """Output lines of code run in a fresh interpreter: this one has scipy loaded."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    return out.stdout.splitlines()
 
 
 def test_cli_import_loads_no_scipy():

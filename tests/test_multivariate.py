@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from betanewton.multivariate import (
     sync_solution_to_json,
     vector_extended_step,
 )
+from conftest import fresh_stdout
 
 
 def _symmetric_pair(g=0.8, s=0.3, kappa=1.3):
@@ -184,6 +186,19 @@ def test_phases_do_not_depend_on_kappa():
     for kappa, sol in sols[1:]:
         assert np.array_equal(sol.phases, ref.phases)
         assert abs(sol.omega / kappa - sols[0][1].omega / 0.1) < 1e-14
+
+
+def test_phases_do_not_depend_on_lapack_thread_count():
+    # N = 200 is large enough for OpenBLAS to split the LU between threads
+    code = ("import hashlib\n"
+            "from betanewton import BetaSchedule, random_kuramoto, solve_sync\n"
+            "sol = solve_sync(random_kuramoto(200, 5), None, BetaSchedule.annealing())\n"
+            "print(sol.status.value, hashlib.sha256(sol.phases.tobytes()).hexdigest())\n")
+    before = dict(os.environ)
+    one, two = (fresh_stdout(code, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert one == two
+    assert one[0].startswith("converged ")
+    assert dict(os.environ) == before
 
 
 def test_max_iterations_reported():
