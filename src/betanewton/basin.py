@@ -261,9 +261,9 @@ def sweep(
 ) -> BasinMap:
     """Iterate every grid cell; returns the basin map.
 
-    The grid runs in chunks of _CHUNK_ROWS rows; jobs > 1 runs them on a
-    thread pool while this thread labels each finished chunk in row order
-    and stores its labels and counts in the map.  Chunk boundaries and all
+    The grid runs in chunks of _CHUNK_ROWS rows on a pool of `jobs`
+    threads while this thread labels each finished chunk in row order and
+    stores its labels and counts in the map.  Chunk boundaries and all
     per-cell arithmetic are identical for every worker count, and chunked
     labelling equals whole-grid labelling (see `_assign_labels`), so the
     result depends only on the arguments.
@@ -291,22 +291,18 @@ def sweep(
         labels[rows] = _assign_labels(p, status, final, catalog).reshape(-1, grid.ny)
         iter_counts[rows] = iters.reshape(-1, grid.ny)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            # one chunk queued beyond the running ones keeps every worker
-            # busy while this thread labels
-            pending = deque()
-            for i0 in starts:
-                pending.append((i0, pool.submit(run_chunk, i0)))
-                if len(pending) > jobs:
-                    i, fut = pending.popleft()
-                    store(i, fut.result())
-            while pending:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # one chunk queued beyond the running ones keeps every worker
+        # busy while this thread labels
+        pending = deque()
+        for i0 in starts:
+            pending.append((i0, pool.submit(run_chunk, i0)))
+            if len(pending) > jobs:
                 i, fut = pending.popleft()
                 store(i, fut.result())
-    else:
-        for i0 in starts:
-            store(i0, run_chunk(i0))
+        while pending:
+            i, fut = pending.popleft()
+            store(i, fut.result())
     return BasinMap(grid=grid, labels=labels, iter_counts=iter_counts,
                     catalog=catalog, max_iter=cfg.max_iter)
 
@@ -315,24 +311,28 @@ def basin_entropy(bmap: BasinMap, box: int = 20) -> float:
     """Mean per-tile Gibbs entropy of outcome labels over box*box tiles.
 
     Divergence (-1) counts as its own outcome class, so a map with K roots
-    has at most K+1 classes and the result lies in [0, ln(K+1)].
+    has at most K+1 classes and the result lies in [0, ln(K+1)].  Tiles are
+    counted one band of `box` rows at a time, so memory beyond the map is
+    one band of int64 bins, (ny / box) * (K+1) counts and one float per
+    tile.
     """
     nx, ny = bmap.labels.shape
     if box < 1 or nx % box or ny % box:
         raise IncompatibleCovering(
             f"box {box} does not tile a {nx}x{ny} grid")
     k = len(bmap.catalog.roots) + 1
-    t = (bmap.labels + 1).astype(np.int64)
-    tiles = (t.reshape(nx // box, box, ny // box, box)
-             .transpose(0, 2, 1, 3)
-             .reshape(-1, box * box))
-    nt = tiles.shape[0]
-    offset = (np.arange(nt, dtype=np.int64)[:, None] * k + tiles).ravel()
-    counts = np.bincount(offset, minlength=nt * k).reshape(nt, k)
-    prob = counts / float(box * box)
-    with np.errstate(all="ignore"):
-        terms = np.where(prob > 0, -prob * np.log(prob), 0.0)
-    return float(terms.sum(axis=1).mean())
+    nt = ny // box
+    # label c of band tile t lands in bin t*k + c + 1; divergence (-1) in t*k
+    offset = (np.arange(nt, dtype=np.int64) * k + 1)[:, None]
+    tile_sums = np.empty(nx // box * nt)
+    for i in range(nx // box):
+        bins = bmap.labels[i * box:(i + 1) * box].reshape(box, nt, box) + offset
+        counts = np.bincount(bins.ravel(), minlength=nt * k).reshape(nt, k)
+        prob = counts / float(box * box)
+        with np.errstate(all="ignore"):
+            terms = np.where(prob > 0, -prob * np.log(prob), 0.0)
+        tile_sums[i * nt:(i + 1) * nt] = terms.sum(axis=1)
+    return float(tile_sums.mean())
 
 
 def entropy_beta_sweep(

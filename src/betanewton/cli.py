@@ -30,18 +30,6 @@ EXIT_UNKNOWN_FUNCTION = 3
 EXIT_BAD_SYSTEM = 4
 EXIT_BAD_COVERING = 5
 
-_JOBS_ENV = "BETANEWTON_JOBS"
-
-
-def _default_jobs() -> int:
-    env = os.environ.get(_JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
 
 def _parse_grid(text: str) -> basin.GridSpec:
     try:
@@ -52,11 +40,7 @@ def _parse_grid(text: str) -> basin.GridSpec:
 
 
 def _checked(convert, ok, expected: str):
-    """An argparse `type` that converts a flag's text and checks the value.
-
-    `--config` values go through the same function, so a file and a flag
-    reject the same values, both as usage errors.
-    """
+    """An argparse `type` that converts a flag's text and checks the value."""
     def parse(text: str):
         try:
             value = convert(text)
@@ -172,10 +156,8 @@ def _cmd_entropy(args) -> int:
 def _cmd_order(args) -> int:
     cfg = _config(args)
     problems = [core.get_problem(args.function)] if args.function else core.list_problems()
-    if args.beta is not None:
-        schedules = [core.BetaSchedule.fixed(args.beta)]
-    elif args.schedule == "anneal":
-        schedules = [core.BetaSchedule.annealing()]
+    if args.schedule == "anneal" or args.beta is not None:
+        schedules = [_schedule(args)]
     else:
         schedules = [sched for _, sched in report.TABLE2_MODES]
     buf = io.StringIO()
@@ -253,17 +235,17 @@ def _cmd_manifest(args) -> int:
     return EXIT_OK
 
 
-def _apply_config_file(parser, argv):
-    """Flags > config file > defaults: pre-scan --config and lift defaults.
+def _with_config(argv):
+    """argv with each `--config` entry spliced in after the command as `--key=value`.
 
-    Defaults must be pushed into every subparser: each subcommand parses into
-    a fresh namespace whose own defaults would otherwise shadow the file.
+    argparse then checks a file value exactly as the same flag's, and since
+    the last occurrence of a flag wins, flags > config file > defaults.
     """
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
-        return
+        return argv
     with open(known.config, "r", encoding="utf-8") as fh:
         try:
             values = json.load(fh)
@@ -271,43 +253,16 @@ def _apply_config_file(parser, argv):
             raise SystemExit2(f"--config is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise SystemExit2("--config file must hold a JSON object")
-    parsers = [parser] + [
-        sub for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-        for sub in action.choices.values()
-    ]
-    actions_by_dest = {}
-    for p in parsers:
-        for a in p._actions:
-            actions_by_dest.setdefault(a.dest, a)
-    clean = {}
-    for key, value in values.items():
-        dest = key.replace("-", "_")
-        act = actions_by_dest.get(dest)
-        if act is None:
-            raise SystemExit2(f"unknown config key {key!r}")
-        # checked like the same text on the command line
-        text = value if isinstance(value, str) else json.dumps(value)
-        try:
-            value = text if act.type is None else act.type(text)
-        except (argparse.ArgumentTypeError, ValueError) as exc:
-            raise SystemExit2(f"bad config value for {key!r}: {exc}")
-        if act.choices is not None and value not in act.choices:
-            raise SystemExit2(f"bad config value for {key!r}: {value!r} is not one of "
-                              f"{', '.join(map(repr, act.choices))}")
-        clean[dest] = value
-    for p in parsers:
-        local = {a.dest for a in p._actions}
-        hit = {k: v for k, v in clean.items() if k in local}
-        if hit:
-            p.set_defaults(**hit)
+    flags = [f"--{key.replace('_', '-')}=" + (v if isinstance(v, str) else json.dumps(v))
+             for key, v in values.items()]
+    return argv[:1] + flags + argv[1:]
 
 
 def build_parser() -> argparse.ArgumentParser:
     # every command takes --out and --config, and only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output path (atomic write); default stdout")
-    common.add_argument("--config", help="JSON file with default flag values")
+    common.add_argument("--config", help="JSON object of flag values; the command line's win")
 
     stop = argparse.ArgumentParser(add_help=False)
     stop.add_argument("--eps", type=float, default=1e-14,
@@ -320,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="grid as NXxNY (default 1000x1000)")
 
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=_jobs_count, default=_default_jobs(),
-                      help=f"sweep worker count (default: ${_JOBS_ENV} or cpu count); "
+    jobs.add_argument("--jobs", type=_jobs_count, default=os.cpu_count() or 1,
+                      help="sweep worker count (default: cpu count); "
                            "results are identical for any value")
 
     sched = argparse.ArgumentParser(add_help=False)
@@ -409,8 +364,7 @@ def main(argv: Optional[list] = None) -> int:
     argv = _glue_negative_values(argv)
     ap = build_parser()
     try:
-        _apply_config_file(ap, argv)
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_with_config(argv))
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -64,7 +64,6 @@ class VectorProblem:
     overwrites it with its LU factors.
     """
 
-    dim: int
     residual: Callable
     jacobian: Callable
 
@@ -264,7 +263,7 @@ def build_kuramoto_problem(sys: KuramotoSystem) -> VectorProblem:
         jt[diag, diag] = ddrive - row_sums
         return jt.T
 
-    return VectorProblem(m, residual, jacobian)
+    return VectorProblem(residual, jacobian)
 
 
 def solve_sync(

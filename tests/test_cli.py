@@ -7,7 +7,6 @@ import os
 
 import pytest
 
-from betanewton import cli
 from betanewton.cli import main
 
 
@@ -57,6 +56,18 @@ def test_order_csv_modes():
                          "--beta", "0.5"])
     assert rc == 0
     assert len(recs) == 1 and recs[0]["beta"] == "0.5"
+
+
+def test_order_resolves_the_schedule_like_every_command():
+    # --schedule anneal wins over --beta, as in fractal and entropy
+    rc, recs = _run_csv(["order", "--function", "f2", "--grid", "40x40",
+                         "--schedule", "anneal", "--beta", "1"])
+    assert rc == 0
+    assert [(r["beta_mode"], r["beta"]) for r in recs] == [("annealing", "")]
+    rc, recs = _run_csv(["order", "--function", "f2", "--grid", "40x40",
+                         "--schedule", "fixed", "--beta", "1"])
+    assert rc == 0
+    assert [(r["beta_mode"], r["beta"]) for r in recs] == [("fixed", "1.0")]
 
 
 def test_fractal_ppm_deterministic(tmp_path):
@@ -247,15 +258,6 @@ def test_failed_run_leaves_no_output(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # configuration
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv(cli._JOBS_ENV, "7")
-    assert cli._default_jobs() == 7
-    monkeypatch.setenv(cli._JOBS_ENV, "banana")
-    assert cli._default_jobs() == (os.cpu_count() or 1)
-    monkeypatch.delenv(cli._JOBS_ENV)
-    assert cli._default_jobs() == (os.cpu_count() or 1)
-
-
 def test_config_file_provides_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": "12x12", "max-iter": 40}))
@@ -271,25 +273,46 @@ def test_config_file_provides_defaults(tmp_path):
     assert json.loads(out.read_text())["grid"]["nx"] == 8
 
 
+def _usage_error(argv, capsys):
+    """The stderr of argparse rejecting argv: SystemExit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2, argv
+    return capsys.readouterr().err
+
+
+def test_config_file_supplies_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"function": "f2", "schedule": "fixed", "beta": 0}))
+    base = ["fractal", "--grid", "8x8", "--format", "json", "--jobs", "1"]
+    assert main(base + ["--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(base + ["--function", "f2", "--schedule", "fixed", "--beta", "0"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
 def test_config_file_rejects_junk(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
+    for text in ("[1, 2]", "{oops"):
+        cfg.write_text(text)
+        assert main(["manifest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: --config")
     cfg.write_text(json.dumps({"gird": "12x12"}))
-    assert main(["manifest", "--config", str(cfg)]) == 2
-    cfg.write_text("[1, 2]")
-    assert main(["manifest", "--config", str(cfg)]) == 2
-    cfg.write_text("{oops")
-    assert main(["manifest", "--config", str(cfg)]) == 2
-    cfg.write_text(json.dumps({"grid": "wide"}))
-    assert main(["manifest", "--config", str(cfg)]) == 2
-    capsys.readouterr()
+    assert "unrecognized arguments: --gird=12x12" in _usage_error(
+        ["table1", "--config", str(cfg)], capsys)
     # non-string values and choices are checked like the same flag's text
-    for values in ({"grid": 200}, {"max_iter": 5.5}, {"max-iter": True},
-                   {"format": "xml", "grid": "4x4"}):
+    for values in ({"grid": "wide"}, {"grid": 200}, {"max_iter": 5.5},
+                   {"max-iter": True}, {"format": "xml", "grid": "4x4"}):
         cfg.write_text(json.dumps(values))
-        assert main(["table1", "--jobs", "1", "--config", str(cfg)]) == 2, values
-        assert "bad config value" in capsys.readouterr().err
-    # a key for a flag the command does not take is ignored, even a bad value
-    for values in ({"max-iter": 0}, {"eps": 0}, {"eps": "nan"}):
+        err = _usage_error(["table1", "--jobs", "1", "--config", str(cfg)], capsys)
+        assert "error: argument --" in err, values
+
+
+def test_config_key_must_be_a_flag_of_the_command(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for command, values in (("cuberoot", {"max-iter": 0}), ("cuberoot", {"eps": "nan"}),
+                            ("manifest", {"kappa": 0}), ("table1", {"random": 1}),
+                            ("order", {"jobs": 2})):
         cfg.write_text(json.dumps(values))
-        assert main(["cuberoot", "--config", str(cfg)]) == 0, values
-        capsys.readouterr()
+        err = _usage_error([command, "--config", str(cfg)], capsys)
+        assert "unrecognized arguments: --" in err, (command, values)

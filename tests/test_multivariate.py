@@ -99,7 +99,7 @@ def _counting(vp):
         calls["jacobian"] += 1
         return vp.jacobian(phi)
 
-    return VectorProblem(vp.dim, residual, jacobian), calls
+    return VectorProblem(residual, jacobian), calls
 
 
 def test_vector_step_factors_once():
@@ -139,7 +139,6 @@ def test_diagonal_system_decouples_to_scalar_steps():
     g = ScalarProblem("sin", np.sin, np.cos)
 
     vp = VectorProblem(
-        2,
         lambda x: np.array([(x[0] * x[0] - 2.0).real, np.sin(x[1]).real]),
         lambda x: np.diag([2.0 * x[0], np.cos(x[1])]),
     )
