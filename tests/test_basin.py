@@ -215,6 +215,24 @@ def test_entropy_uniform_three_way_split():
     assert abs(basin_entropy(bmap, 3) - math.log(3)) < 1e-10
 
 
+def test_entropy_bounds_and_divergent_class():
+    rng = np.random.default_rng(3)
+    labels = rng.integers(-1, 3, (40, 40))
+    bmap = _manual_map(labels, np.zeros((40, 40)), 3)
+    s = basin_entropy(bmap, 10)
+    assert 0.0 <= s <= math.log(4) + 1e-12
+
+
+def test_entropy_invariant_under_relabeling():
+    rng = np.random.default_rng(4)
+    labels = rng.integers(0, 3, (40, 40))
+    perm = {0: 2, 1: 0, 2: 1}
+    relabeled = np.vectorize(perm.get)(labels)
+    a = basin_entropy(_manual_map(labels, np.zeros((40, 40)), 3), 10)
+    b = basin_entropy(_manual_map(relabeled, np.zeros((40, 40)), 3), 10)
+    assert abs(a - b) < 1e-12
+
+
 @pytest.mark.parametrize("box", [1, 4, 10])
 def test_entropy_memory_bound(box):
     # banded counting: two int64 copies of one band of box rows, a few float
