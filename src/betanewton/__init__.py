@@ -39,7 +39,6 @@ from .basin import (
     basin_entropy,
     basin_map_to_json,
     default_palette,
-    entropy_beta_sweep,
     render_ppm,
     sweep,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "cube_root_problem",
     "cube_root_window",
     "default_palette",
-    "entropy_beta_sweep",
     "estimate_order",
     "get_problem",
     "iterate",

@@ -38,8 +38,6 @@ _ST_MAXITER = 2
 # a discovered root must actually satisfy the equation
 _ROOT_RESIDUAL_TOL = 1e-10
 
-_MAX_BETAS = 1000  # per entropy curve; each costs a sweep, and paper-scale curves use 21
-
 
 class IncompatibleCovering(ValueError):
     """Entropy box size does not tile the grid exactly."""
@@ -181,13 +179,8 @@ def _assign_labels(
     tol = catalog.match_tol
     pts = final[conv]
     lab = np.full(pts.size, -1, np.int32)
-    dmin = np.full(pts.size, np.inf)
     for k, r in enumerate(catalog.roots):
-        d = np.abs(pts - r)
-        closer = d < dmin
-        dmin[closer] = d[closer]
-        lab[closer] = k
-    lab[dmin > tol] = -1
+        lab[np.abs(pts - r) <= tol] = k
     conv_idx = np.flatnonzero(conv)
     # discovery pass: first unmatched endpoint (row-major) founds a root or
     # is permanently rejected; repeat until none remain
@@ -279,7 +272,7 @@ def sweep(
     im = grid.im_coords()
     labels = np.empty((grid.nx, grid.ny), np.int32)
     iter_counts = np.empty((grid.nx, grid.ny), np.min_scalar_type(cfg.max_iter))
-    catalog = RootCatalog(list(p.known_roots), 1e-6)
+    catalog = RootCatalog(list(p.known_roots))
     starts = range(0, grid.nx, _CHUNK_ROWS)
 
     def run_chunk(i0):
@@ -333,35 +326,6 @@ def basin_entropy(bmap: BasinMap, box: int = 20) -> float:
             terms = np.where(prob > 0, -prob * np.log(prob), 0.0)
         tile_sums[i * nt:(i + 1) * nt] = terms.sum(axis=1)
     return float(tile_sums.mean())
-
-
-def entropy_beta_sweep(
-    p: ScalarProblem,
-    grid: GridSpec,
-    cfg: IterationConfig,
-    beta_lo: float,
-    beta_hi: float,
-    step: float,
-    box: int = 20,
-    jobs: int = 1,
-) -> List[Tuple[float, float]]:
-    """Basin entropy at each fixed beta in [beta_lo, beta_hi] by step, at most _MAX_BETAS."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if beta_lo > beta_hi:
-        raise ValueError("beta_lo must not exceed beta_hi")
-    span = (beta_hi - beta_lo) / step
-    if not np.isfinite([beta_lo, beta_hi, step, span]).all():
-        raise ValueError("beta_lo, beta_hi and step must give a finite number of betas")
-    count = int(np.floor(span + 1e-9)) + 1
-    if count > _MAX_BETAS:
-        raise ValueError(f"the range holds {count} betas; at most {_MAX_BETAS} are allowed")
-    curve = []
-    for k in range(count):
-        beta = beta_lo + k * step
-        bmap = sweep(p, grid, BetaSchedule.fixed(beta), cfg, jobs)
-        curve.append((beta, basin_entropy(bmap, box)))
-    return curve
 
 
 def default_palette(n: int) -> List[Tuple[int, int, int]]:

@@ -39,7 +39,7 @@ def _parse_grid(text: str) -> basin.GridSpec:
         raise argparse.ArgumentTypeError(f"grid must look like 1000x1000, got {text!r}")
 
 
-def _checked(convert, ok, expected: str):
+def _checked(convert, expected: str, ok=lambda value: True):
     """An argparse `type` that converts a flag's text and checks the value."""
     def parse(text: str):
         try:
@@ -52,9 +52,36 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
-_jobs_count = _checked(int, lambda n: n >= 1, "an integer of at least 1")
-_rotor_count = _checked(int, lambda n: n >= 2, "an integer of at least 2")
-_coupling = _checked(float, lambda k: math.isfinite(k) and k > 0, "a finite positive number")
+_MAX_BETAS = 1000  # per entropy curve; each costs a sweep, and paper-scale curves use 21
+
+
+def _beta_range(text: str) -> list:
+    """LO:HI:STEP as the betas lo + k*step up to hi.
+
+    ValueError unless STEP > 0, LO <= HI, LO, HI, STEP and the span
+    (HI - LO) / STEP are finite, and the range holds at most _MAX_BETAS betas.
+    """
+    lo, hi, step = (float(t) for t in text.split(":"))
+    if not (step > 0 and lo <= hi):
+        raise ValueError(text)
+    span = (hi - lo) / step
+    if not all(map(math.isfinite, (lo, hi, step, span))):
+        raise ValueError(text)
+    count = math.floor(span + 1e-9) + 1
+    if count > _MAX_BETAS:
+        raise ValueError(text)
+    return [lo + k * step for k in range(count)]
+
+
+_count = _checked(int, "an integer of at least 1", lambda n: n >= 1)
+_rotor_count = _checked(int, "an integer of at least 2", lambda n: n >= 2)
+_coupling = _checked(float, "a finite positive number", lambda k: math.isfinite(k) and k > 0)
+_positive = _checked(float, "a positive number", lambda e: e > 0)
+_finite = _checked(float, "a finite number", math.isfinite)
+_phases = _checked(lambda t: np.asarray([float(x) for x in t.split(",")]),
+                   "comma-separated numbers")
+_betas = _checked(_beta_range, f"LO:HI:STEP with STEP > 0, LO <= HI, all finite, "
+                               f"and at most {_MAX_BETAS} betas")
 
 
 def _write_atomic(path: str, data) -> None:
@@ -90,14 +117,13 @@ def _schedule(args) -> core.BetaSchedule:
 
 
 class SystemExit2(Exception):
-    """Usage error detected after argparse (exit code 2)."""
+    """Usage error argparse cannot see (exit code 2): a rule between flags,
+    or a `--config` file that is not a JSON object.  A flag's own value is
+    checked by its argparse `type`."""
 
 
 def _config(args) -> core.IterationConfig:
-    try:
-        return core.IterationConfig(epsilon=args.eps, max_iter=args.max_iter)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    return core.IterationConfig(epsilon=args.eps, max_iter=args.max_iter)
 
 
 def _table_output(args, rows) -> str:
@@ -130,15 +156,10 @@ def _cmd_entropy(args) -> int:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     if args.beta_sweep:
-        try:
-            lo, hi, step = (float(t) for t in args.beta_sweep.split(":"))
-        except ValueError:
-            raise SystemExit2(f"--beta-sweep must be LO:HI:STEP, got {args.beta_sweep!r}")
-        curve = basin.entropy_beta_sweep(p, args.grid, cfg, lo, hi, step,
-                                         args.box, args.jobs)
         w.writerow(["beta", "entropy"])
-        for beta, s in curve:
-            w.writerow([repr(beta), repr(s)])
+        for beta in args.beta_sweep:
+            bmap = basin.sweep(p, args.grid, core.BetaSchedule.fixed(beta), cfg, args.jobs)
+            w.writerow([repr(beta), repr(basin.basin_entropy(bmap, args.box))])
     else:
         sched = _schedule(args)
         bmap = basin.sweep(p, args.grid, sched, cfg, args.jobs)
@@ -208,15 +229,10 @@ def _cmd_kuramoto(args) -> int:
         emitted_system = multivariate.kuramoto_to_json(sys_obj)
     else:
         raise SystemExit2("kuramoto needs --input FILE or --random N --seed S")
-    sched = _schedule(args)
-    cfg = _config(args)
-    phi0 = None
-    if args.phi0 is not None:
-        try:
-            phi0 = np.asarray([float(t) for t in args.phi0.split(",")])
-        except ValueError:
-            raise SystemExit2(f"--phi0 must be comma-separated numbers, got {args.phi0!r}")
-    sol = multivariate.solve_sync(sys_obj, phi0, sched, cfg)
+    if args.phi0 is not None and args.phi0.size != sys_obj.n_rotors - 1:
+        raise SystemExit2(f"--phi0 needs {sys_obj.n_rotors - 1} phases for "
+                          f"{sys_obj.n_rotors} rotors, got {args.phi0.size}")
+    sol = multivariate.solve_sync(sys_obj, args.phi0, _schedule(args), _config(args))
     payload = {"solution": multivariate.sync_solution_to_json(sol)}
     if emitted_system is not None:
         payload["system"] = emitted_system
@@ -265,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON object of flag values; the command line's win")
 
     stop = argparse.ArgumentParser(add_help=False)
-    stop.add_argument("--eps", type=float, default=1e-14,
+    stop.add_argument("--eps", type=_positive, default=1e-14,
                       help="step-displacement stopping threshold")
-    stop.add_argument("--max-iter", type=int, default=50,
+    stop.add_argument("--max-iter", type=_count, default=50,
                       help="iteration budget per starting point")
 
     grid = argparse.ArgumentParser(add_help=False)
@@ -275,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="grid as NXxNY (default 1000x1000)")
 
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=_jobs_count, default=os.cpu_count() or 1,
+    jobs.add_argument("--jobs", type=_count, default=os.cpu_count() or 1,
                       help="sweep worker count (default: cpu count); "
                            "results are identical for any value")
 
     sched = argparse.ArgumentParser(add_help=False)
     sched.add_argument("--schedule", choices=["fixed", "anneal"], default="fixed")
-    sched.add_argument("--beta", type=float, default=None,
+    sched.add_argument("--beta", type=_finite, default=None,
                        help="beta value (required with --schedule fixed)")
 
     ap = argparse.ArgumentParser(
@@ -310,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="basin entropy of one sweep or a beta sweep")
     sp.add_argument("--function", required=True)
     sp.add_argument("--box", type=int, default=20)
-    sp.add_argument("--beta-sweep", metavar="LO:HI:STEP",
+    sp.add_argument("--beta-sweep", type=_betas, metavar="LO:HI:STEP",
                     help="curve over fixed betas instead of a single run")
     sp.set_defaults(func=_cmd_entropy)
 
@@ -330,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="generate a random N-rotor system")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--kappa", type=_coupling, default=1.0)
-    sp.add_argument("--phi0", help="comma-separated initial reduced phases")
+    sp.add_argument("--phi0", type=_phases,
+                    help="comma-separated initial reduced phases, one per rotor but the first")
     sp.set_defaults(func=_cmd_kuramoto)
 
     sp = sub.add_parser("manifest", parents=[common],
@@ -361,17 +378,8 @@ def _glue_negative_values(argv):
 
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    argv = _glue_negative_values(argv)
-    ap = build_parser()
     try:
-        args = ap.parse_args(_with_config(argv))
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
+        args = build_parser().parse_args(_with_config(_glue_negative_values(argv)))
         return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -144,31 +143,28 @@ def _factor(J: np.ndarray):
     """LU-factor J and estimate its condition; a solve function, or None.
 
     The returned function maps b to the solution x of J x = b.  J is
-    rejected (None) when it has a non-finite entry, when LAPACK fails, or
-    when the reciprocal 1-norm condition estimate falls below _RCOND_MIN.  A
+    rejected (None) when it has a non-finite entry, when LAPACK's LU finds
+    an exactly zero pivot, or when the reciprocal 1-norm condition estimate
+    falls below _RCOND_MIN (or LAPACK reports an error).  A
     Fortran-ordered J is overwritten by its factors; any other is copied.
     scipy is imported here, at the package's only LAPACK call, so importing
     betanewton loads no scipy until the first factorization, and the first
     call pins LAPACK to one thread (`_one_lapack_thread`).
     """
-    from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+    from scipy.linalg import lapack
 
     _one_lapack_thread()
 
     if not np.isfinite(J).all():
         return None
     anorm = lapack.dlange("1", J) if J.size else 0.0
-    try:
-        with warnings.catch_warnings():
-            # exact singularity is caught by the condition estimate below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(J, overwrite_a=True, check_finite=False)
-    except ValueError:
+    lu, piv, info = lapack.dgetrf(J, overwrite_a=True)
+    if info != 0:
         return None
     rcond, info = lapack.dgecon(lu, anorm, norm="1")
     if info != 0 or not np.isfinite(rcond) or rcond < _RCOND_MIN:
         return None
-    return lambda b: lu_solve((lu, piv), b, check_finite=False)
+    return lambda b: lapack.dgetrs(lu, piv, b)[0]
 
 
 def vector_extended_step(vp: VectorProblem, phi: np.ndarray, sched: BetaSchedule) -> np.ndarray:

@@ -17,7 +17,6 @@ from betanewton.basin import (
     basin_entropy,
     basin_map_to_json,
     default_palette,
-    entropy_beta_sweep,
     render_ppm,
     sweep,
 )
@@ -260,27 +259,6 @@ def test_entropy_rejects_incompatible_covering():
     bmap = _manual_map(np.zeros((60, 40)), np.zeros((60, 40)), 1)
     with pytest.raises(IncompatibleCovering):
         basin_entropy(bmap, 40)  # divides ny but not nx
-
-
-def test_entropy_beta_sweep_curve():
-    p = affine_problem()
-    grid = GridSpec(nx=20, ny=20)
-    curve = entropy_beta_sweep(p, grid, IterationConfig(), 0.0, 1.0, 0.5, box=10)
-    assert [b for b, _ in curve] == [0.0, 0.5, 1.0]
-    assert all(s == 0.0 for _, s in curve)
-    curve = entropy_beta_sweep(p, grid, IterationConfig(), 0.0, 1.0, 0.7, box=10)
-    assert [b for b, _ in curve] == [0.0, 0.7]
-    with pytest.raises(ValueError):
-        entropy_beta_sweep(p, grid, IterationConfig(), 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        entropy_beta_sweep(p, grid, IterationConfig(), 1.0, 0.0, 0.5)
-    inf, nan = float("inf"), float("nan")
-    for lo, hi, step in ((0.0, inf, 1.0), (-inf, 0.0, 1.0), (0.0, 1.0, inf),
-                         (0.0, nan, 1.0), (nan, 1.0, 0.5), (0.0, 1.0, nan),
-                         (-1e308, 1e308, 1.0), (0.0, 1e300, 1.0),
-                         (0.0, float(basin._MAX_BETAS), 1.0)):
-        with pytest.raises(ValueError):
-            entropy_beta_sweep(p, grid, IterationConfig(), lo, hi, step)
 
 
 def test_map_metrics_skip_unlabelled_cells():

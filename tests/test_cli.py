@@ -118,6 +118,11 @@ def test_entropy_beta_sweep():
                          "--box", "10", "--beta-sweep", "-1:1:1", "--jobs", "1"])
     assert rc == 0
     assert [r["beta"] for r in recs] == ["-1.0", "0.0", "1.0"]
+    # the last beta is the last lo + k*step that does not pass hi
+    rc, recs = _run_csv(["entropy", "--function", "f2", "--grid", "20x20",
+                         "--box", "10", "--beta-sweep", "0:1:0.7", "--jobs", "1"])
+    assert rc == 0
+    assert [r["beta"] for r in recs] == ["0.0", "0.7"]
 
 
 def test_kuramoto_random_round_trip(tmp_path, capsys):
@@ -145,9 +150,11 @@ def test_kuramoto_phi0_flag(capsys):
     assert main(["kuramoto", "--random", "3", "--seed", "3", "--phi0",
                  "-0.3,0.2", "--schedule", "anneal"]) == 0
     capsys.readouterr()
-    assert main(["kuramoto", "--random", "3", "--seed", "3", "--phi0",
-                 "zero,0.2", "--schedule", "anneal"]) == 2
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["kuramoto", "--random", "3", "--seed", "3", "--phi0",
+              "zero,0.2", "--schedule", "anneal"])
+    assert exc.value.code == 2
+    assert "error: argument --phi0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +196,22 @@ def test_usage_errors_after_parsing(capsys):
     assert main(["fractal", "--function", "f2", "--grid", "8x8",
                  "--schedule", "fixed"]) == 2  # fixed needs --beta
     capsys.readouterr()
+    # --phi0 needs one phase per rotor but the first
+    assert main(["kuramoto", "--random", "3", "--seed", "0", "--schedule", "fixed",
+                 "--beta", "0", "--phi0", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --phi0")
 
 
-def test_nonfinite_beta_sweep_is_runtime_error(capsys):
-    for spec in ("0:inf:1", "0:nan:1", "0:1e300:1"):
-        assert main(["entropy", "--function", "f2", "--grid", "20x20", "--box", "10",
-                     "--beta-sweep", spec, "--jobs", "1"]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+def test_bad_beta_sweep_is_usage_error(capsys):
+    # STEP > 0, LO <= HI, LO, HI, STEP and the span finite, at most 1000 betas
+    for spec in ("0:1:0", "1:0:0.5", "0:inf:1", "-inf:0:1", "0:1:inf", "0:nan:1",
+                 "nan:1:0.5", "0:1:nan", "-1e308:1e308:1", "0:1e300:1", "0:1000:1",
+                 "0:1", "0:1:0.5:2", "a:1:0.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--function", "f2", "--grid", "20x20", "--box", "10",
+                  "--beta-sweep", spec, "--jobs", "1"])
+        assert exc.value.code == 2, spec
+        assert "error: argument --beta-sweep" in capsys.readouterr().err, spec
 
 
 def test_argparse_errors_exit_two(capsys):
@@ -222,7 +238,10 @@ def test_argparse_errors_exit_two(capsys):
     for argv in (kuramoto + ["--random", "1"], kuramoto + ["--random", "-2"],
                  kuramoto + ["--random", "0"], kuramoto + ["--random", "3", "--kappa", "0"],
                  kuramoto + ["--random", "3", "--kappa", "nan"],
-                 fractal + ["--jobs", "0"], fractal + ["--jobs", "-3"]):
+                 fractal + ["--jobs", "0"], fractal + ["--jobs", "-3"],
+                 fractal + ["--beta", "nan"], fractal + ["--beta", "inf"],
+                 fractal + ["--beta=-inf"], fractal + ["--eps", "nan"],
+                 fractal + ["--max-iter", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -1,10 +1,10 @@
 """Property test: a value from a `--config` file acts exactly as the same flag.
 
 For the range-checked flags of two commands (kuramoto: `--random`, `--kappa`,
-`--eps`, `--max-iter`; fractal: `--jobs`, `--eps`, `--max-iter`), hypothesis
-draws values, out of range for at most the one flag the case names, and a
-subset of them to move into a `--config` file, as JSON numbers or as
-strings.  That run must give the exit code and output bytes of the run with
+`--eps`, `--max-iter`; fractal: `--jobs`, `--eps`, `--max-iter`, `--beta`),
+hypothesis draws values, out of range for at most the one flag the case
+names, and a subset of them to move into a `--config` file, as JSON numbers
+or as strings.  That run must give the exit code and output bytes of the run with
 every value given as a flag.  The exit code is 0 when every value is in
 range, and otherwise 2 with an `error:` line.
 """
@@ -34,6 +34,8 @@ RANGES = {
     "random": (st.integers(2, 5), st.integers(-2, 1)),
     "kappa": (st.floats(1e-3, 1e3),
               st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])),
+    "beta": (st.floats(allow_nan=False, allow_infinity=False),
+             st.sampled_from([math.nan, math.inf, -math.inf])),
 }
 
 # command -> (fixed arguments, flags drawn); both write text to stdout
@@ -41,8 +43,8 @@ COMMANDS = {
     "kuramoto": (["kuramoto", "--seed", "0", "--schedule", "anneal"],
                  ("random", "kappa", "eps", "max-iter")),
     "fractal": (["fractal", "--function", "f2", "--grid", "4x5", "--schedule", "fixed",
-                 "--beta", "0.5", "--format", "json"],
-                ("jobs", "eps", "max-iter")),
+                 "--format", "json"],
+                ("jobs", "eps", "max-iter", "beta")),
 }
 
 # each command with every value in range, and with each flag's value out of it
