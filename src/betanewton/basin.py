@@ -69,6 +69,11 @@ class GridSpec:
     def im_coords(self) -> np.ndarray:
         return np.linspace(self.im_min, self.im_max, self.ny)
 
+    def check_covering(self, box: int) -> None:
+        """Raise IncompatibleCovering unless box*box tiles cover the grid exactly."""
+        if box < 1 or self.nx % box or self.ny % box:
+            raise IncompatibleCovering(f"box {box} does not tile a {self.nx}x{self.ny} grid")
+
 
 @dataclass
 class RootCatalog:
@@ -161,45 +166,38 @@ def _assign_labels(
 ) -> np.ndarray:
     """Label converged endpoints against the catalog, growing it when needed.
 
-    Each endpoint within match_tol of a catalog root takes that root's
-    label.  The rest are clustered serially in row-major first-seen order:
-    the first founds a new root if it satisfies the residual bound and lies
-    more than 2*match_tol from every catalog root, and takes every remaining
-    endpoint within match_tol with it.  An endpoint is thus within match_tol
-    of at most one root, so labelling a grid chunk by chunk in row-major
-    order, with one catalog carried from chunk to chunk, gives the labels
-    and catalog of labelling it whole.  Only a distance that rounds to a tie
-    at exactly 2*match_tol could tell the two apart.
+    One claim step serves every root: root k labels k each unclaimed
+    endpoint within match_tol of it, and those leave the unclaimed set,
+    which keeps row-major order.  Catalog roots claim first; then the first
+    unclaimed endpoint founds and claims a root if it satisfies the residual
+    bound and lies more than 2*match_tol from every root, or is dropped.
+    Roots lie more than 2*match_tol apart, so an endpoint is within match_tol
+    of at most one and claim order cannot change a label: labelling chunk by
+    chunk in row-major order, one catalog carried along, equals labelling
+    the whole grid (barring a distance that rounds to a tie at 2*match_tol).
+    An endpoint is compared only with the roots that claim before its own.
     """
-    n = final.size
-    labels = np.full(n, -1, np.int32)
-    conv = status == _ST_CONVERGED
-    if not conv.any():
-        return labels
+    labels = np.full(final.size, -1, np.int32)
     tol = catalog.match_tol
-    pts = final[conv]
-    lab = np.full(pts.size, -1, np.int32)
-    for k, r in enumerate(catalog.roots):
-        lab[np.abs(pts - r) <= tol] = k
-    conv_idx = np.flatnonzero(conv)
-    # discovery pass: first unmatched endpoint (row-major) founds a root or
-    # is permanently rejected; repeat until none remain
-    un = np.flatnonzero(lab == -1)
+    # the unclaimed endpoints: flat cell index and point, in row-major order
+    idx = np.flatnonzero(status == _ST_CONVERGED)
+    pts = final[idx]
+    k = 0
     with np.errstate(all="ignore"):
-        while un.size:
-            cand = complex(pts[un[0]])
-            near_existing = any(abs(cand - r) <= 2 * tol for r in catalog.roots)
-            # numpy's abs: a residual too large for a float is inf, not an OverflowError
-            residual = np.abs(np.complex128(p.eval(np.complex128(cand))))
-            if near_existing or not residual < _ROOT_RESIDUAL_TOL:
-                un = un[1:]
-                continue
-            catalog.roots.append(cand)
-            k = len(catalog.roots) - 1
-            hit = np.abs(pts[un] - cand) <= tol
-            lab[un[hit]] = k
-            un = un[~hit]
-    labels[conv_idx] = lab
+        while idx.size:
+            if k == len(catalog.roots):
+                cand = complex(pts[0])
+                near_existing = any(abs(cand - r) <= 2 * tol for r in catalog.roots)
+                # numpy's abs: a residual too large for a float is inf, not an OverflowError
+                residual = np.abs(np.complex128(p.eval(np.complex128(cand))))
+                if near_existing or not residual < _ROOT_RESIDUAL_TOL:
+                    idx, pts = idx[1:], pts[1:]
+                    continue
+                catalog.roots.append(cand)
+            hit = np.abs(pts - catalog.roots[k]) <= tol
+            labels[idx[hit]] = k
+            idx, pts = idx[~hit], pts[~hit]
+            k += 1
     return labels
 
 
@@ -309,10 +307,8 @@ def basin_entropy(bmap: BasinMap, box: int = 20) -> float:
     one band of int64 bins, (ny / box) * (K+1) counts and one float per
     tile.
     """
+    bmap.grid.check_covering(box)
     nx, ny = bmap.labels.shape
-    if box < 1 or nx % box or ny % box:
-        raise IncompatibleCovering(
-            f"box {box} does not tile a {nx}x{ny} grid")
     k = len(bmap.catalog.roots) + 1
     nt = ny // box
     # label c of band tile t lands in bin t*k + c + 1; divergence (-1) in t*k

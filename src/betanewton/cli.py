@@ -152,6 +152,7 @@ def _cmd_fractal(args) -> int:
 
 def _cmd_entropy(args) -> int:
     p = core.get_problem(args.function)
+    args.grid.check_covering(args.box)
     cfg = _config(args)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("entropy", parents=[common, stop, grid, jobs, sched],
                         help="basin entropy of one sweep or a beta sweep")
     sp.add_argument("--function", required=True)
-    sp.add_argument("--box", type=int, default=20)
+    sp.add_argument("--box", type=_count, default=20)
     sp.add_argument("--beta-sweep", type=_betas, metavar="LO:HI:STEP",
                     help="curve over fixed betas instead of a single run")
     sp.set_defaults(func=_cmd_entropy)

@@ -60,8 +60,8 @@ def estimate_order(trace: Sequence[complex], epsilon: float = 1e-14) -> OrderEst
     Displacements from the first one below epsilon onward are excluded
     (an exact repeat counts as convergence there), except that the first
     sub-epsilon displacement is kept as a final numerator when it exceeds
-    a 2-ulp noise floor scaled by the limit point.  Ratios whose
-    denominator log vanishes (equal successive displacements) are skipped.
+    a 2-ulp noise floor scaled by the limit point.  An index counts only
+    when both its displacement ratios have finite logs, the first nonzero.
     """
     if len(trace) < 2:
         return OrderEstimate((), None, False)
@@ -78,12 +78,13 @@ def estimate_order(trace: Sequence[complex], epsilon: float = 1e-14) -> OrderEst
         series.append(e[stop])
     qs = []
     for n in range(1, len(series) - 1):
-        if series[n - 1] <= 0 or series[n] <= 0 or series[n + 1] <= 0:
+        e0, e1, e2 = series[n - 1:n + 2]
+        if not (e0 > 0 and e1 > 0 and 0 < e1 / e0 < math.inf and 0 < e2 / e1 < math.inf):
             continue
-        den = math.log(series[n] / series[n - 1])
+        den = math.log(e1 / e0)
         if den == 0:
             continue
-        qs.append(math.log(series[n + 1] / series[n]) / den)
+        qs.append(math.log(e2 / e1) / den)
     q_final = qs[-1] if qs else None
     iterations = len(trace) - 1
     valid = iterations >= MIN_ORDER_ITERATIONS and bool(qs) and contracting

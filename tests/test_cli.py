@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from betanewton import basin
 from betanewton.cli import main
 
 
@@ -190,6 +191,18 @@ def test_incompatible_box_exit_code(capsys):
     assert "does not tile" in capsys.readouterr().err
 
 
+def test_incompatible_box_exits_before_any_sweep(monkeypatch, capsys):
+    def no_sweep(*args):
+        raise AssertionError("swept before checking the box")
+
+    monkeypatch.setattr(basin, "sweep", no_sweep)
+    entropy = ["entropy", "--function", "f2", "--grid", "1000x1000", "--box", "7",
+               "--jobs", "1"]
+    for extra in (["--schedule", "fixed", "--beta", "0"], ["--beta-sweep", "0:1:0.5"]):
+        assert main(entropy + extra) == 5, extra
+        assert "does not tile" in capsys.readouterr().err, extra
+
+
 def test_usage_errors_after_parsing(capsys):
     assert main(["kuramoto", "--schedule", "fixed", "--beta", "0"]) == 2
     assert main(["kuramoto", "--random", "3", "--schedule", "anneal"]) == 2
@@ -235,13 +248,15 @@ def test_argparse_errors_exit_two(capsys):
     kuramoto = ["kuramoto", "--seed", "0", "--schedule", "anneal"]
     fractal = ["fractal", "--function", "f2", "--grid", "4x4", "--schedule", "fixed",
                "--beta", "0"]
+    entropy = ["entropy"] + fractal[1:]
     for argv in (kuramoto + ["--random", "1"], kuramoto + ["--random", "-2"],
                  kuramoto + ["--random", "0"], kuramoto + ["--random", "3", "--kappa", "0"],
                  kuramoto + ["--random", "3", "--kappa", "nan"],
                  fractal + ["--jobs", "0"], fractal + ["--jobs", "-3"],
                  fractal + ["--beta", "nan"], fractal + ["--beta", "inf"],
                  fractal + ["--beta=-inf"], fractal + ["--eps", "nan"],
-                 fractal + ["--max-iter", "0"]):
+                 fractal + ["--max-iter", "0"], entropy + ["--box", "0"],
+                 entropy + ["--box", "-4"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -4,7 +4,9 @@ A trace whose displacements follow e_{k+1} = C * e_k**q has every ratio
 log(e_{k+1}/e_k) / log(e_k/e_{k-1}) equal to q, so the estimate must
 recover q, and be valid once the trace has MIN_ORDER_ITERATIONS steps.
 And on any trace, a valid estimate has a positive order: validity asks for
-a contracting tail, and an order is only meaningful there.
+a contracting tail, and an order is only meaningful there.  Nor does any
+trace make the estimate raise or report a q that is not finite, whatever
+the size of its displacements.
 """
 
 import cmath
@@ -13,7 +15,7 @@ import math
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from betanewton.convergence import MIN_ORDER_ITERATIONS, estimate_order  # noqa: E402
 
@@ -92,3 +94,19 @@ def test_a_valid_order_is_positive(displacements, start, angle, epsilon):
     est = estimate_order(trace, epsilon)
     if est.valid:
         assert est.q_final > 0, (est, trace)
+
+
+# finite doubles of every magnitude, subnormals and both signs included, so
+# that displacements and their ratios can underflow to 0 and overflow to inf
+_ANY_DOUBLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)))
+
+
+@PROPERTY
+@example([1e300, 0.0, 1e-30, 1.1e-30, 1.11e-30], 0.0)
+@example([0.0, 1e308, -1e308, 0.0], 1e-14)
+@given(st.lists(_ANY_DOUBLE, min_size=2, max_size=14), st.sampled_from([0.0, 1e-14]))
+def test_every_order_is_finite(trace, epsilon):
+    est = estimate_order(trace, epsilon)
+    assert all(math.isfinite(q) for q in est.q_series), est

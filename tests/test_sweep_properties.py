@@ -4,7 +4,10 @@
 from chunk to chunk.  On random small grids, with the chunk height drawn too
 so that a few cells span many chunks, it must give the same labels, counts
 and catalog for one and two workers, and the same as running the kernel over
-the whole grid at once and labelling that in one call.
+the whole grid at once and labelling that in one call.  Fixed examples of
+the functions that find hundreds of roots at beta 1 check the same on grids
+large enough for the claim order and the shrinking set of unclaimed
+endpoints to matter.
 """
 
 import pytest
@@ -23,7 +26,12 @@ from betanewton.basin import (  # noqa: E402
     _sweep_chunk,
     sweep,
 )
-from betanewton.core import BetaSchedule, IterationConfig, list_problems  # noqa: E402
+from betanewton.core import (  # noqa: E402
+    BetaSchedule,
+    IterationConfig,
+    get_problem,
+    list_problems,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=4)
 
@@ -93,3 +101,20 @@ def test_streamed_sweep_equals_whole_grid_labelling(p, monkeypatch):
                 assert bmap.catalog.roots == catalog.roots
 
     check()
+
+
+@pytest.mark.parametrize("grid", [GridSpec(nx=200, ny=200), GridSpec(nx=300, ny=170)],
+                         ids=lambda g: f"{g.nx}x{g.ny}")
+@pytest.mark.parametrize("fid", ["f6", "f10", "f14"])
+def test_many_roots_stream_like_the_whole_grid(fid, grid, monkeypatch):
+    p = get_problem(fid)
+    sched, cfg = BetaSchedule.fixed(1.0), IterationConfig()
+    status, iters, final = _sweep_chunk(
+        p, _starts(grid.re_coords(), grid.im_coords()), sched, cfg)
+    catalog = RootCatalog(list(p.known_roots), 1e-6)
+    labels = whole_grid_labels(p, status, final, catalog)
+    for chunk_rows, jobs in ((64, 2), (7, 1)):
+        monkeypatch.setattr(basin, "_CHUNK_ROWS", chunk_rows)
+        bmap = sweep(p, grid, sched, cfg, jobs)
+        assert bmap.labels.tobytes() == labels.tobytes(), chunk_rows
+        assert bmap.catalog.roots == catalog.roots, chunk_rows
